@@ -15,6 +15,7 @@ from .graph import (
     DistanceMatrix,
     Graph,
     GraphFormatError,
+    InternalError,
     apsp,
     bits_of,
     induced_subgraph,
@@ -23,13 +24,14 @@ from .graph import (
     parse_graph,
     render_graph,
 )
-from .metric import Ball, RequirementTable, ResidualTable, ball, requirement_table, residual_decompositions
+from .metric import RequirementTable, ResidualTable, requirement_table, residual_decompositions
 from .oracle import OracleLimitError, OracleResult, oracle_gamma_b, oracle_gamma_path
 from .pathdag import State, StateDag, arc_test, build_dag, enumerate_states, solve_path
 from .peel import Candidate, iter_candidates, radial_broadcast, solve_optimal
 from .verify import (
     Broadcast,
     Verdict,
+    ball_mask,
     full_verdict,
     parse_broadcast,
     render_broadcast,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, Graph, apsp
+from .graph import DisconnectedGraphError, Graph, InternalError, apsp
 from .metric import requirement_table, residual_decompositions
 from .pathdag import _broadcast_from_chain, _solve_dag, build_dag
 from .verify import Broadcast
@@ -55,7 +55,7 @@ def anchored_runs(h: Graph) -> tuple[Broadcast, list[AnchoredRun]]:
         contains_u = dm.dist[:, u].astype(np.int64)[:, None] <= powers[None, :]  # (n, rho)
         mask = np.zeros((n, rho, 3), dtype=bool)
         mask[:, :, 0] = contains_u
-        res = _solve_dag(dag, dm, rt, req, source_mask=mask.reshape(-1))
+        res = _solve_dag(dag, source_mask=mask.reshape(-1))
         if res is None:
             runs.append(AnchoredRun(u, -1, False))
             continue
@@ -64,7 +64,8 @@ def anchored_runs(h: Graph) -> tuple[Broadcast, list[AnchoredRun]]:
         if best_cost is None or cost < best_cost:
             best_cost = cost
             best_bc = _broadcast_from_chain(dag, chain)
-    assert best_bc is not None
+    if best_bc is None:
+        raise InternalError("no anchor solved, but every anchor admits a radial state")
     return best_bc, runs
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .anchored import solve_path_anchored
 from .generators import GeneratorSpec, generate
-from .graph import Graph
+from .graph import Graph, InternalError
 from .pathdag import solve_path
 from .peel import solve_optimal
 
@@ -45,13 +45,13 @@ SOLVER_NEW = "oriented"
 SOLVER_BASELINE = "anchored"
 
 
-class BenchCostMismatch(RuntimeError):
+class BenchCostMismatch(InternalError):
     """The two solvers disagreed on an instance; both are exact, so this is
     a correctness bug, not a benchmark artifact."""
 
 
 class BenchTimeout(RuntimeError):
-    pass
+    """A solve was slower than the configured limit."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,9 @@ def _solver_fn(task: str, solver: str) -> Callable[[Graph], object]:
 
 
 def _time_solver(fn, g: Graph, reps: int, timeout: float | None, warmup: int):
+    """Median solve time in ms and the cost.  The timeout aborts the run
+    after a solve slower than it; it is checked once the solve has
+    returned, so it never interrupts one."""
     for _ in range(warmup):
         fn(g)
     times = []
@@ -119,7 +122,6 @@ def run_bench(
     new_fn = _solver_fn(task, SOLVER_NEW)
     base_fn = _solver_fn(task, SOLVER_BASELINE)
     rows: list[BenchRow] = []
-    speedups: dict[str, list[float]] = {}
     for spec in specs:
         g = generate(spec)
         new_ms, new_cost = _time_solver(new_fn, g, reps, timeout, warmup)
@@ -131,20 +133,7 @@ def run_bench(
             )
         rows.append(BenchRow(spec.family, spec.n, spec.seed, task, SOLVER_NEW, reps, new_ms, new_cost))
         rows.append(BenchRow(spec.family, spec.n, spec.seed, task, SOLVER_BASELINE, reps, base_ms, base_cost))
-        speedups.setdefault(spec.family, []).append(base_ms / new_ms if new_ms > 0 else float("inf"))
-    aggregates = []
-    for family in sorted(speedups):
-        fam_rows = [r for r in rows if r.family == family]
-        aggregates.append(
-            FamilyAggregate(
-                family=family,
-                cases=len(speedups[family]),
-                max_n=max(r.n for r in fam_rows),
-                median_speedup=statistics.median(speedups[family]),
-                max_speedup=max(speedups[family]),
-            )
-        )
-    return BenchReport(rows=tuple(rows), aggregates=tuple(aggregates))
+    return BenchReport(rows=tuple(rows), aggregates=_aggregate(rows))
 
 
 _CSV_FIELDS = ["family", "n", "seed", "task", "solver", "reps", "median_ms", "cost", "threads"]
@@ -183,14 +172,23 @@ def report_from_csv(text: str) -> BenchReport:
     return BenchReport(rows=tuple(rows), aggregates=_aggregate(rows))
 
 
-def _aggregate(rows: list[BenchRow]) -> tuple[FamilyAggregate, ...]:
+def _speedups(rows) -> dict[tuple, float]:
+    """Baseline time over new time per (family, n, seed, task) instance that
+    has both rows and a positive new time."""
     by_instance: dict[tuple, dict[str, float]] = {}
     for r in rows:
         by_instance.setdefault((r.family, r.n, r.seed, r.task), {})[r.solver] = r.median_ms
+    return {
+        key: pair[SOLVER_BASELINE] / pair[SOLVER_NEW]
+        for key, pair in by_instance.items()
+        if SOLVER_NEW in pair and SOLVER_BASELINE in pair and pair[SOLVER_NEW] > 0
+    }
+
+
+def _aggregate(rows) -> tuple[FamilyAggregate, ...]:
     speedups: dict[str, list[float]] = {}
-    for (family, _, _, _), pair in by_instance.items():
-        if SOLVER_NEW in pair and SOLVER_BASELINE in pair and pair[SOLVER_NEW] > 0:
-            speedups.setdefault(family, []).append(pair[SOLVER_BASELINE] / pair[SOLVER_NEW])
+    for (family, _, _, _), speedup in _speedups(rows).items():
+        speedups.setdefault(family, []).append(speedup)
     out = []
     for family in sorted(speedups):
         fam_rows = [r for r in rows if r.family == family]
@@ -218,13 +216,9 @@ def format_table(report: BenchReport) -> str:
 
 def speedup_csv(report: BenchReport) -> str:
     """Per-instance speedup data for external plotting."""
-    by_instance: dict[tuple, dict[str, float]] = {}
-    for r in report.rows:
-        by_instance.setdefault((r.family, r.n, r.seed, r.task), {})[r.solver] = r.median_ms
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["family", "n", "seed", "task", "speedup"])
-    for (family, n, seed, task), pair in sorted(by_instance.items()):
-        if SOLVER_NEW in pair and SOLVER_BASELINE in pair and pair[SOLVER_NEW] > 0:
-            w.writerow([family, n, seed, task, repr(pair[SOLVER_BASELINE] / pair[SOLVER_NEW])])
+    for (family, n, seed, task), speedup in sorted(_speedups(report.rows).items()):
+        w.writerow([family, n, seed, task, repr(speedup)])
     return buf.getvalue()

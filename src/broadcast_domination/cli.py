@@ -3,8 +3,8 @@
 Reports are line-oriented key:value text so they diff cleanly.  Timing is
 printed only when asked for (--timing), keeping default output byte-stable
 across runs.  Exit codes: 0 success, 1 usage or parse error, 2 infeasible
-precondition (disconnected input, oracle size limit), 3 internal invariant
-violation.
+precondition (disconnected input, oracle size limit, bench timeout), 3
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import time
 from pathlib import Path
 
 from .anchored import solve_path_anchored
-from .bench import BenchCostMismatch, format_table, report_to_csv, run_bench, speedup_csv
+from .bench import BenchTimeout, format_table, report_to_csv, run_bench, speedup_csv
 from .generators import FAMILIES, GeneratorSpec, generate
-from .graph import DisconnectedGraphError, Graph, GraphFormatError, apsp, parse_graph, render_graph
+from .graph import DisconnectedGraphError, Graph, GraphFormatError, InternalError, apsp, parse_graph, render_graph
 from .metric import requirement_table, residual_decompositions
 from .oracle import OracleLimitError, oracle_gamma_b, oracle_gamma_path
 from .pathdag import build_dag, dag_to_dot, solve_path
@@ -219,7 +219,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--task", default="optimal", choices=("optimal", "path"))
-    p.add_argument("--timeout", type=float, default=None, help="per-solve limit in seconds")
+    p.add_argument(
+        "--timeout", type=float, default=None, help="abort the run after a solve slower than this many seconds"
+    )
     p.add_argument("--out", default=None, help="write the row CSV here")
     p.add_argument("--plot-out", default=None, help="write per-instance speedups here")
     p.set_defaults(fn=cmd_bench)
@@ -231,13 +233,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (GraphFormatError, ValueError) as exc:
-        if isinstance(exc, (DisconnectedGraphError, OracleLimitError)):
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_INFEASIBLE
+    except (DisconnectedGraphError, OracleLimitError, BenchTimeout) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INFEASIBLE
+    except ValueError as exc:  # GraphFormatError included
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (BenchCostMismatch, AssertionError) as exc:
+    except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL
 

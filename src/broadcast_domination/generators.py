@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .graph import Graph, is_connected
+from .graph import Graph, InternalError, is_connected
 
 __all__ = [
     "FAMILIES",
@@ -187,5 +187,6 @@ def generate(spec: GeneratorSpec) -> Graph:
         g = sparse_random(n, spec.seed, p=float(p) if p is not None else None)
     else:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    assert is_connected(g)
+    if not is_connected(g):
+        raise InternalError(f"generator {family!r} produced a disconnected graph")
     return g

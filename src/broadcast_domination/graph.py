@@ -19,6 +19,7 @@ __all__ = [
     "DisjointSet",
     "GraphFormatError",
     "DisconnectedGraphError",
+    "InternalError",
     "parse_graph",
     "render_graph",
     "apsp",
@@ -35,6 +36,12 @@ class GraphFormatError(ValueError):
 
 class DisconnectedGraphError(ValueError):
     """An operation that needs a connected graph received a disconnected one."""
+
+
+class InternalError(RuntimeError):
+    """An invariant the algorithms guarantee was violated: a bug, not bad
+    input.  Raised explicitly rather than asserted so that `python -O`
+    keeps the checks."""
 
 
 def bits_of(vertices: Iterable[int]) -> int:
@@ -237,7 +244,6 @@ class DisjointSet:
         self.n = n
         self.parent: list[int] = [-1] * n
         self._members: dict[int, list[int]] = {}
-        self.active_count = 0
 
     def is_active(self, x: int) -> bool:
         return self.parent[x] >= 0
@@ -247,7 +253,6 @@ class DisjointSet:
             raise ValueError(f"vertex {x} already active")
         self.parent[x] = x
         self._members[x] = [x]
-        self.active_count += 1
 
     def find(self, x: int) -> int:
         r = self.parent[x]
@@ -269,9 +274,3 @@ class DisjointSet:
         mx.extend(my)
         del self._members[ry]
         return True
-
-    def size(self, x: int) -> int:
-        return len(self._members[self.find(x)])
-
-    def component_sizes(self) -> dict[int, int]:
-        return {r: len(m) for r, m in self._members.items()}

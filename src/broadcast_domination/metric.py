@@ -18,31 +18,12 @@ import numpy as np
 from .graph import DisconnectedGraphError, DisjointSet, DistanceMatrix, Graph
 
 __all__ = [
-    "Ball",
     "ResidualTable",
     "RequirementTable",
-    "ball",
     "residual_decompositions",
     "requirement_table",
     "residual_table_csv",
 ]
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: int
-    power: int
-    members: int  # bit mask
-
-
-def ball(dm: DistanceMatrix, v: int, p: int) -> Ball:
-    """Vertices within distance p of v, as a bit mask."""
-    if p < 0:
-        raise ValueError(f"power must be nonnegative, got {p}")
-    members = 0
-    for z in (dm.dist[v] <= p).nonzero()[0]:
-        members |= 1 << int(z)
-    return Ball(center=v, power=p, members=members)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +42,6 @@ class ResidualTable:
     kappa: np.ndarray  # (n, rho+1) int16
     comp_label: np.ndarray  # (n, rho+1, n) int16
     comp_size: np.ndarray  # (n, rho+1, 3) int32; index = label
-
-    def kept(self, v: int, p: int) -> bool:
-        return int(self.kappa[v, p]) <= 2
 
     def components(self, v: int, p: int) -> int:
         return int(self.kappa[v, p])

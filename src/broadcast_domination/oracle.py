@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .graph import DisconnectedGraphError, DistanceMatrix, Graph, apsp
+from .graph import DisconnectedGraphError, DistanceMatrix, Graph, InternalError, apsp
 from .verify import Broadcast, verify_efficient, verify_path_shaped
 
 __all__ = [
@@ -122,7 +122,7 @@ def _search(g: Graph, limit: int, path_shaped: bool) -> OracleResult:
                         if not verify_path_shaped(g, dm, bc).ok:
                             continue
                     return OracleResult(cost=cost, witness=bc, explored=explored)
-    raise AssertionError("unreachable: a radial broadcast is always feasible")
+    raise InternalError("unreachable: a radial broadcast is always feasible")
 
 
 def oracle_gamma_b(g: Graph, limit: int = DEFAULT_LIMIT) -> OracleResult:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, DistanceMatrix, Graph, apsp
+from .graph import DisconnectedGraphError, DistanceMatrix, Graph, InternalError, apsp
 from .metric import RequirementTable, ResidualTable, requirement_table, residual_decompositions
 from .verify import Broadcast
 
@@ -53,14 +53,6 @@ class State:
         return self.power
 
 
-def _right_label(kappa: int, left: int) -> int:
-    if kappa == 0:
-        return 0
-    if kappa == 1:
-        return 1 - left  # orientations (0,1) and (1,0)
-    return 3 - left  # orientations (1,2) and (2,1)
-
-
 @dataclass(eq=False)
 class StateDag:
     """Dense state arrays plus the arc list.
@@ -76,7 +68,6 @@ class StateDag:
     left_size: np.ndarray  # int32, dense
     is_source: np.ndarray  # bool, dense (left label 0)
     is_sink: np.ndarray  # bool, dense (right label 0)
-    kappa_of: np.ndarray  # int16, dense (component count of the state's ball)
     arc_src: np.ndarray  # int64
     arc_dst: np.ndarray  # int64
 
@@ -97,14 +88,12 @@ class StateDag:
         return int(self.arc_src.size)
 
     def state_at(self, sid: int) -> State:
+        """The state behind an id.  A sink's right side is empty; otherwise
+        the right label is the other one of the orientation pair, (0,1) or
+        (1,2)/(2,1)."""
         v, p, left = self.decode(sid)
-        return State(
-            center=v,
-            power=p,
-            left=left,
-            right=_right_label(int(self.kappa_of[sid]), left),
-            left_size=int(self.left_size[sid]),
-        )
+        right = 0 if self.is_sink[sid] else (1 if left == 0 else 3 - left)
+        return State(center=v, power=p, left=left, right=right, left_size=int(self.left_size[sid]))
 
 
 def _dense_tables(rt: ResidualTable):
@@ -124,10 +113,8 @@ def _dense_tables(rt: ResidualTable):
     is_sink = np.zeros((n, rho, 3), dtype=bool)
     is_sink[:, :, 0] = k == 0
     is_sink[:, :, 1] = k == 1
-    kappa_of = np.empty((n, rho, 3), dtype=np.int16)
-    kappa_of[:] = k[:, :, None]
     flat = lambda a: a.reshape(-1)
-    return (flat(exists), flat(weight), flat(left_size), flat(is_source), flat(is_sink), flat(kappa_of))
+    return (flat(exists), flat(weight), flat(left_size), flat(is_source), flat(is_sink))
 
 
 def enumerate_states(rt: ResidualTable) -> list[State]:
@@ -189,7 +176,7 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
     """
     n = g.n
     rho = rt.rho
-    exists, weight, left_size, is_source, is_sink, kappa_of = _dense_tables(rt)
+    exists, weight, left_size, is_source, is_sink = _dense_tables(rt)
     kappa = rt.kappa
     comp_label = rt.comp_label
     reqarr = req.req
@@ -229,7 +216,8 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
         arc_src = np.empty(0, dtype=np.int64)
         arc_dst = np.empty(0, dtype=np.int64)
     # acyclicity witness: the left side strictly grows along every arc
-    assert bool((left_size[arc_dst] > left_size[arc_src]).all())
+    if not (left_size[arc_dst] > left_size[arc_src]).all():
+        raise InternalError("an arc does not grow the left side")
     return StateDag(
         n=n,
         rho=rho,
@@ -238,25 +226,25 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
         left_size=left_size,
         is_source=is_source,
         is_sink=is_sink,
-        kappa_of=kappa_of,
         arc_src=arc_src,
         arc_dst=arc_dst,
     )
 
 
-def _solve_dag(
-    dag: StateDag,
-    dm: DistanceMatrix,
-    rt: ResidualTable,
-    req: RequirementTable,
-    source_mask: np.ndarray | None = None,
-):
+def _solve_dag(dag: StateDag, source_mask: np.ndarray | None = None):
     """Shortest source-to-sink chain by DP in left-size order.
 
     Returns (cost, chain of state ids from leftmost to rightmost), or None
     when no sink is reachable from an allowed source.  Ties are broken
     toward the smaller (center, power, left) triple, which is the state id
     order.
+
+    The chain is read back from the DAG's own arcs: an arc is tight when
+    d[src] + weight[dst] == d[dst], and every state's predecessor is its
+    smallest tight source id.  That id is the lexicographic tie-break
+    because, for a fixed state and predecessor center, distance and labels
+    force the predecessor's power and orientation, so each predecessor
+    center owns exactly one candidate id, and ids ascend with the center.
     """
     sources = dag.is_source if source_mask is None else dag.is_source & source_mask
     d = np.full(dag.exists.size, _INF, dtype=np.int64)
@@ -273,47 +261,24 @@ def _solve_dag(
         for i in range(starts.size):
             lo, hi = bounds[i], bounds[i + 1]
             np.minimum.at(d, a_dst[lo:hi], d[a_src[lo:hi]] + w64[a_dst[lo:hi]])
+        del key, order, a_src, a_dst, starts, bounds
     sink_ids = np.nonzero(dag.is_sink & (d < _INF))[0]
     if sink_ids.size == 0:
         return None
     best = int(sink_ids[np.argmin(d[sink_ids])])  # first argmin = smallest id
     cost = int(d[best])
 
-    # walk predecessors; for a fixed predecessor center the power and
-    # orientation are forced, so the ascending center scan realizes the
-    # lexicographic tie-break
-    n, rho = dag.n, dag.rho
-    dist = dm.dist
-    kappa = rt.kappa
-    comp_label = rt.comp_label
-    reqarr = req.req
+    pred = np.full(d.size, d.size, dtype=np.int64)  # d.size = no tight predecessor
+    reach = np.take(d, dag.arc_src)
+    reach += np.take(dag.weight, dag.arc_dst)
+    tight = reach == np.take(d, dag.arc_dst)
+    del reach
+    np.minimum.at(pred, dag.arc_dst[tight], dag.arc_src[tight])
     chain = [best]
-    cur = best
-    while not (sources[cur] and d[cur] == w64[cur]):
-        v, p, left = dag.decode(cur)
-        want = int(d[cur]) - p
-        found = -1
-        for u in range(n):
-            pp = int(dist[u, v]) - p - 1
-            if pp < 1 or pp > rho:
-                continue
-            ku = int(kappa[u, pp])
-            if ku < 1 or ku > 2:
-                continue
-            if int(comp_label[v, p, u]) != left:
-                continue
-            rl = int(comp_label[u, pp, v])
-            if int(reqarr[u, pp, rl - 1, v]) > p:
-                continue
-            if int(reqarr[v, p, left - 1, u]) > pp:
-                continue
-            sid = (u * rho + pp - 1) * 3 + (0 if ku == 1 else 3 - rl)
-            if int(d[sid]) == want:
-                found = sid
-                break
-        assert found >= 0, "DP value has no consistent predecessor"
-        chain.append(found)
-        cur = found
+    while pred[chain[-1]] < d.size:
+        chain.append(int(pred[chain[-1]]))
+    if not sources[chain[-1]]:
+        raise InternalError("DP value has no consistent predecessor")
     chain.reverse()
     return cost, chain
 
@@ -324,7 +289,8 @@ def _broadcast_from_chain(dag: StateDag, chain: list[int]) -> Broadcast:
     for sid in chain:
         v, p, _ = dag.decode(sid)
         # a simple chain never revisits a center; enforced, not repaired
-        assert v not in seen, "state chain reuses a center"
+        if v in seen:
+            raise InternalError("state chain reuses a center")
         seen.add(v)
         assignment.append((v, p))
     return Broadcast.from_pairs(assignment)
@@ -341,11 +307,13 @@ def solve_path(h: Graph) -> Broadcast:
     rt = residual_decompositions(h, dm)
     req = requirement_table(h, dm, rt)
     dag = build_dag(h, dm, rt, req)
-    res = _solve_dag(dag, dm, rt, req)
-    assert res is not None, "a radial state always exists"
+    res = _solve_dag(dag)
+    if res is None:
+        raise InternalError("no source-to-sink chain, but a radial state always exists")
     cost, chain = res
     bc = _broadcast_from_chain(dag, chain)
-    assert bc.cost == cost
+    if bc.cost != cost:
+        raise InternalError(f"chain cost {bc.cost} differs from the DP value {cost}")
     return bc
 
 

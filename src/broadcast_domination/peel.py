@@ -17,7 +17,16 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, DistanceMatrix, Graph, apsp, bits_of, induced_subgraph, is_connected
+from .graph import (
+    DisconnectedGraphError,
+    DistanceMatrix,
+    Graph,
+    InternalError,
+    apsp,
+    bits_of,
+    induced_subgraph,
+    is_connected,
+)
 from .pathdag import solve_path
 from .verify import Broadcast, verify_dominating
 
@@ -57,7 +66,6 @@ def _evaluate_candidate(
     x: int,
     k: int,
     path_solver: Callable[[Graph], Broadcast],
-    cap: bool = True,
 ) -> Candidate:
     dist_row = dm.dist[x]
     outside = np.nonzero(dist_row > k)[0]
@@ -76,12 +84,13 @@ def _evaluate_candidate(
         total = k
         for v_h, p_h in sub.assignment:
             orig = back[v_h]
-            power = min(p_h, int(dm.ecc[orig])) if cap else p_h
+            power = min(p_h, int(dm.ecc[orig]))
             assignment.append((orig, power))
             total += power
         cand = Candidate(x, k, RESIDUAL_CONNECTED, total, Broadcast.from_pairs(assignment))
     # every non-skipped candidate is a dominating broadcast of the input
-    assert verify_dominating(g, dm, cand.broadcast).ok
+    if not verify_dominating(g, dm, cand.broadcast).ok:
+        raise InternalError(f"peel candidate ({x}, {k}) does not dominate the graph")
     return cand
 
 
@@ -89,7 +98,6 @@ def iter_candidates(
     g: Graph,
     dm: Optional[DistanceMatrix] = None,
     path_solver: Callable[[Graph], Broadcast] = solve_path,
-    cap: bool = True,
 ) -> Iterator[Candidate]:
     """Every peel candidate (x, k), without the incumbent pruning the solver
     applies; used to check feasibility of the full candidate family."""
@@ -97,7 +105,7 @@ def iter_candidates(
         dm = apsp(g)
     for x in range(g.n):
         for k in range(1, dm.radius + 1):
-            yield _evaluate_candidate(g, dm, x, k, path_solver, cap=cap)
+            yield _evaluate_candidate(g, dm, x, k, path_solver)
 
 
 def _best_candidate_for_center(
@@ -133,22 +141,13 @@ def _best_candidate_for_center(
 _POOL_STATE: dict = {}
 
 
-def _pool_init(n: int, edges: tuple, path_solver: Callable, radius_bound: int) -> None:
-    g = Graph.from_edges(n, edges)
-    _POOL_STATE["g"] = g
-    _POOL_STATE["dm"] = apsp(g)
-    _POOL_STATE["solver"] = path_solver
-    _POOL_STATE["incumbent"] = radius_bound
+def _pool_init(g: Graph, dm: DistanceMatrix, path_solver: Callable) -> None:
+    _POOL_STATE["args"] = (g, dm, path_solver)
 
 
 def _pool_worker(x: int):
-    best = _best_candidate_for_center(
-        _POOL_STATE["g"], _POOL_STATE["dm"], x, _POOL_STATE["solver"], _POOL_STATE["incumbent"]
-    )
-    if best is None:
-        return None
-    cost, cx, ck, bc = best
-    return cost, cx, ck, bc.assignment
+    g, dm, path_solver = _POOL_STATE["args"]
+    return _best_candidate_for_center(g, dm, x, path_solver, dm.radius)
 
 
 def solve_optimal(
@@ -163,8 +162,15 @@ def solve_optimal(
     a connected residual costs k plus the path solution with each residual
     power capped at its eccentricity in g, and a disconnected residual is
     skipped.  Ties keep the earliest candidate in (x, k) order, with the
-    radial broadcast preceding all of them, so the result is independent of
-    the worker count.
+    radial broadcast preceding all of them.
+
+    One loop merges the per-center bests in center order, keeping a result
+    only when it strictly improves.  Sequentially each center is pruned
+    against the incumbent reached so far; pool workers prune against
+    rad(G) only.  Pruning discards just candidates that cannot strictly
+    improve on the bound, so either way the first strict improvement in
+    center order is the same and the result is independent of the worker
+    count.
     """
     if g.n == 1:
         return Broadcast(())
@@ -174,22 +180,12 @@ def solve_optimal(
     best_bc = radial_broadcast(dm)
     best_cost = dm.radius
     if threads > 1:
-        results = []
-        with ProcessPoolExecutor(
-            max_workers=threads,
-            initializer=_pool_init,
-            initargs=(g.n, tuple(g.edges()), path_solver, dm.radius),
-        ) as pool:
-            for res in pool.map(_pool_worker, range(g.n), chunksize=max(1, g.n // (4 * threads))):
-                if res is not None:
-                    results.append(res)
-        if results:
-            cost, x, k, assignment = min(results, key=lambda r: (r[0], r[1], r[2]))
-            if cost < best_cost:
-                return Broadcast(assignment)
-        return best_bc
-    for x in range(g.n):
-        found = _best_candidate_for_center(g, dm, x, path_solver, best_cost)
+        with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init, initargs=(g, dm, path_solver)) as pool:
+            results = list(pool.map(_pool_worker, range(g.n), chunksize=max(1, g.n // (4 * threads))))
+    else:
+        # best_cost is read lazily, as each center is evaluated
+        results = (_best_candidate_for_center(g, dm, x, path_solver, best_cost) for x in range(g.n))
+    for found in results:
         if found is not None and found[0] < best_cost:
             best_cost, _, _, best_bc = found
     return best_bc

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .graph import DistanceMatrix, Graph
+from .graph import DistanceMatrix, Graph, bits_of
 
 __all__ = [
     "Broadcast",
     "CheckResult",
     "Verdict",
+    "ball_mask",
     "verify_dominating",
     "verify_efficient",
     "verify_path_shaped",
@@ -47,10 +48,6 @@ class Broadcast:
             kept[v] = p
         return cls(tuple(sorted(kept.items())))
 
-    @classmethod
-    def from_dict(cls, assignment: dict[int, int]) -> Broadcast:
-        return cls.from_pairs(assignment.items())
-
     @property
     def cost(self) -> int:
         return sum(p for _, p in self.assignment)
@@ -61,12 +58,6 @@ class Broadcast:
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.assignment)
-
-    def power(self, v: int) -> int:
-        for u, p in self.assignment:
-            if u == v:
-                return p
-        return 0
 
 
 class CheckResult(NamedTuple):
@@ -85,6 +76,13 @@ class Verdict:
     witness_undominated: Optional[int] = None
     witness_overlap: Optional[tuple[int, int]] = None
     witness_shape: Optional[int] = None
+
+
+def ball_mask(dm: DistanceMatrix, v: int, p: int) -> int:
+    """Vertices within distance p of v, as a bit mask."""
+    if p < 0:
+        raise ValueError(f"power must be nonnegative, got {p}")
+    return bits_of((dm.dist[v] <= p).nonzero()[0].tolist())
 
 
 def _check_powers(g: Graph, bc: Broadcast) -> None:
@@ -106,20 +104,11 @@ def verify_dominating(g: Graph, dm: DistanceMatrix, bc: Broadcast) -> CheckResul
         return CheckResult(True, None)
     covered = 0
     for v, p in bc.assignment:
-        row = dm.dist[v]
-        covered |= bits_from_row(row, p)
+        covered |= ball_mask(dm, v, p)
     if covered == g.full_mask:
         return CheckResult(True, None)
     missing = ~covered & g.full_mask
     return CheckResult(False, (missing & -missing).bit_length() - 1)
-
-
-def bits_from_row(dist_row, p: int) -> int:
-    """Ball membership mask from one distance-matrix row."""
-    m = 0
-    for z in (dist_row <= p).nonzero()[0]:
-        m |= 1 << int(z)
-    return m
 
 
 def verify_efficient(g: Graph, dm: DistanceMatrix, bc: Broadcast) -> CheckResult:

@@ -17,12 +17,13 @@ import pytest
 from broadcast_domination.bench import SOLVER_BASELINE, SOLVER_NEW, run_bench
 from broadcast_domination.generators import GeneratorSpec, cycle_graph, path_graph
 from broadcast_domination.graph import apsp, iter_bits
-from broadcast_domination.metric import ball, requirement_table, residual_decompositions
+from broadcast_domination.metric import requirement_table, residual_decompositions
 from broadcast_domination.oracle import iter_broadcasts_of_cost, oracle_gamma_b, oracle_gamma_path
 from broadcast_domination.pathdag import build_dag, solve_path
 from broadcast_domination.peel import RESIDUAL_SKIPPED, iter_candidates, solve_optimal
 from broadcast_domination.verify import (
     Broadcast,
+    ball_mask,
     domination_edges,
     verify_dominating,
     verify_efficient,
@@ -38,7 +39,7 @@ def _passed(label: str, detail: str) -> None:
 
 def _ball_laws_hold(g, dm) -> bool:
     rho = dm.radius
-    masks = [[ball(dm, v, p).members for p in range(rho + 1)] for v in range(g.n)]
+    masks = [[ball_mask(dm, v, p) for p in range(rho + 1)] for v in range(g.n)]
     for a in range(g.n):
         for b in range(g.n):
             d = int(dm.dist[a, b])

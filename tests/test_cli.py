@@ -148,6 +148,12 @@ class TestBench:
         assert len(rows) == 5  # header + 2 instances x 2 solvers
         assert plot.read_text().startswith("family,n,seed,task,speedup")
 
+    def test_timeout_exit_code(self):
+        res = run_cli(["bench", "--family", "path", "--n", "8", "--reps", "1", "--timeout", "1e-9"])
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1
+        assert "Traceback" not in res.stderr
+
 
 class TestDeterminism:
     def test_solve_byte_identical(self):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from broadcast_domination.graph import Graph, apsp, bits_of, iter_bits
-from broadcast_domination.metric import ball, requirement_table, residual_decompositions, residual_table_csv
+from broadcast_domination.metric import requirement_table, residual_decompositions, residual_table_csv
+from broadcast_domination.verify import ball_mask
 
 from conftest import connected_graphs
 
@@ -26,13 +27,13 @@ def tables(g):
     return dm, rt, rq
 
 
-def bfs_component_labels(g, ball_mask):
+def bfs_component_labels(g, inside):
     """Independent component labeling of the ball complement: scan vertices
     ascending, BFS each unseen one.  First-touch order by construction."""
     labels = [0] * g.n
     nxt = 0
     for s in range(g.n):
-        if ball_mask >> s & 1 or labels[s]:
+        if inside >> s & 1 or labels[s]:
             continue
         nxt += 1
         stack = [s]
@@ -40,7 +41,7 @@ def bfs_component_labels(g, ball_mask):
         while stack:
             u = stack.pop()
             for w in g.adj[u]:
-                if not ball_mask >> w & 1 and not labels[w]:
+                if not inside >> w & 1 and not labels[w]:
                     labels[w] = nxt
                     stack.append(w)
     return labels, nxt
@@ -49,20 +50,20 @@ def bfs_component_labels(g, ball_mask):
 class TestBall:
     def test_p4(self):
         dm = apsp(path(4))
-        assert ball(dm, 1, 1).members == bits_of([0, 1, 2])
+        assert ball_mask(dm, 1, 1) == bits_of([0, 1, 2])
 
     def test_power_zero(self):
         dm = apsp(cycle(5))
-        assert ball(dm, 3, 0).members == bits_of([3])
+        assert ball_mask(dm, 3, 0) == bits_of([3])
 
     def test_full_cover(self):
         g = cycle(5)
         dm = apsp(g)
-        assert ball(dm, 0, 2).members == g.full_mask
+        assert ball_mask(dm, 0, 2) == g.full_mask
 
     def test_negative_power(self):
         with pytest.raises(ValueError):
-            ball(apsp(path(3)), 0, -1)
+            ball_mask(apsp(path(3)), 0, -1)
 
 
 class TestResidualDecompositions:
@@ -84,7 +85,7 @@ class TestResidualDecompositions:
         g = star(5)
         _, rt, _ = tables(g)
         assert rt.components(1, 1) == 4  # four isolated leaves
-        assert not rt.kept(1, 1)
+        assert rt.components(1, 1) > 2  # no states are built for it
         assert rt.components(0, 1) == 0  # center ball is radial
 
     def test_labels_match_fresh_bfs(self, small_random_graphs):
@@ -92,7 +93,7 @@ class TestResidualDecompositions:
             dm, rt, _ = tables(g)
             for v in range(g.n):
                 for p in range(1, dm.radius + 1):
-                    mask = ball(dm, v, p).members
+                    mask = ball_mask(dm, v, p)
                     want, count = bfs_component_labels(g, mask)
                     assert rt.components(v, p) == count
                     if count <= 2:
@@ -104,7 +105,7 @@ class TestResidualDecompositions:
             dm, rt, _ = tables(g)
             for v in range(g.n):
                 for p in range(1, dm.radius + 1):
-                    if not rt.kept(v, p):
+                    if rt.components(v, p) > 2:
                         continue
                     outside = g.n - int(np.count_nonzero(dm.dist[v] <= p))
                     total = sum(rt.size_of(v, p, c) for c in range(1, rt.components(v, p) + 1))
@@ -130,9 +131,9 @@ class TestRequirements:
             full = g.full_mask
             for v in range(g.n):
                 for p in range(1, dm.radius + 1):
-                    if not rt.kept(v, p) or rt.components(v, p) == 0:
+                    if rt.components(v, p) not in (1, 2):
                         continue
-                    bmask = ball(dm, v, p).members
+                    bmask = ball_mask(dm, v, p)
                     frontier = 0
                     for z in iter_bits(bmask):
                         frontier |= g.adj_bits[z]
@@ -141,7 +142,7 @@ class TestRequirements:
                         slice_c = frontier & rt.members(v, p, c)
                         for w in range(g.n):
                             for q in range(1, dm.radius + 1):
-                                covered = slice_c & ~ball(dm, w, q).members == 0
+                                covered = slice_c & ~ball_mask(dm, w, q) == 0
                                 assert covered == (rq.value(v, p, c, w) <= q)
 
 
@@ -155,7 +156,7 @@ class TestBallLaws:
                     for b in range(n):
                         for p in range(rho + 1):
                             for q in range(rho + 1):
-                                meets = ball(dm, a, p).members & ball(dm, b, q).members != 0
+                                meets = ball_mask(dm, a, p) & ball_mask(dm, b, q) != 0
                                 assert meets == (int(dm.dist[a, b]) <= p + q)
 
     def test_tight_contact_law_exhaustive(self):
@@ -167,8 +168,8 @@ class TestBallLaws:
                     for b in range(n):
                         for p in range(rho + 1):
                             for q in range(rho + 1):
-                                x = ball(dm, a, p).members
-                                y = ball(dm, b, q).members
+                                x = ball_mask(dm, a, p)
+                                y = ball_mask(dm, b, q)
                                 if x & y:
                                     continue
                                 touch = any(g.adj_bits[z] & y for z in iter_bits(x))
@@ -183,8 +184,8 @@ class TestBallLaws:
                     d = int(dm.dist[a, b])
                     for p in range(rho + 1):
                         for q in range(rho + 1):
-                            x = ball(dm, a, p).members
-                            y = ball(dm, b, q).members
+                            x = ball_mask(dm, a, p)
+                            y = ball_mask(dm, b, q)
                             assert (x & y != 0) == (d <= p + q)
                             if not x & y:
                                 touch = any(g.adj_bits[z] & y for z in iter_bits(x))

@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
+from broadcast_domination.anchored import solve_path_anchored
+from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree
 from broadcast_domination.graph import Graph, apsp, bits_of, is_connected, iter_bits
-from broadcast_domination.metric import ball, requirement_table, residual_decompositions
+from broadcast_domination.metric import requirement_table, residual_decompositions
 from broadcast_domination.oracle import oracle_gamma_path
 from broadcast_domination.pathdag import (
     arc_test,
@@ -13,7 +15,7 @@ from broadcast_domination.pathdag import (
     enumerate_states,
     solve_path,
 )
-from broadcast_domination.verify import verify_dominating, verify_efficient, verify_path_shaped
+from broadcast_domination.verify import ball_mask, verify_dominating, verify_efficient, verify_path_shaped
 
 from conftest import connected_graphs, random_connected_graph
 
@@ -93,8 +95,8 @@ class TestArcTest:
         tau = find_state(states, 4, 1, 1, 0)
         assert arc_test(sigma, tau, dm, rt, rq)
         # explicit set-inclusion oracle for the frontier conditions
-        xs = ball(dm, 1, 1).members
-        xt = ball(dm, 4, 1).members
+        xs = ball_mask(dm, 1, 1)
+        xt = ball_mask(dm, 4, 1)
         r_side = rt.members(1, 1, sigma.right)
         l_side = rt.members(4, 1, tau.left)
         fr = bits_of(w for z in iter_bits(xs) for w in iter_bits(g.adj_bits[z])) & r_side
@@ -182,6 +184,22 @@ class TestSolvePath:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             solve_path(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+    @pytest.mark.parametrize(
+        "solver, g, want",
+        [
+            (solve_path, path_graph(20), ((0, 1), (3, 1), (6, 1), (9, 1), (12, 1), (15, 1), (18, 1))),
+            (solve_path, cycle_graph(14), ((0, 1), (7, 5))),
+            (solve_path, barbell_graph(15), ((4, 1), (7, 1), (10, 1))),
+            (solve_path, random_tree(40, 1), ((5, 9),)),
+            (solve_path_anchored, path_graph(11), ((1, 1), (4, 1), (8, 2))),
+        ],
+        ids=["path20", "cycle14", "barbell15", "tree40", "anchored-path11"],
+    )
+    def test_tie_break_pinned(self, solver, g, want):
+        # exact assignments among many tied optima: the chain read-back
+        # must keep the smallest-state-id predecessor
+        assert solver(g).assignment == want
 
     def test_soundness_and_radius_bound(self, small_random_graphs):
         for g in small_random_graphs:
