@@ -34,7 +34,6 @@ from .verify import (
     ball_mask,
     full_verdict,
     parse_broadcast,
-    render_broadcast,
     verify_dominating,
     verify_efficient,
     verify_path_shaped,

@@ -113,13 +113,13 @@ def barbell_graph(n: int, bell: int | None = None) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_tree(n: int, seed: int) -> Graph:
-    """Uniform random labeled tree via a sampled Pruefer sequence."""
+def _pruefer_tree_edges(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
+    """Edges of a uniform random labeled tree decoded from a sampled Pruefer
+    sequence; draws n-2 values from rng, none when n <= 2."""
     if n == 1:
-        return Graph.from_edges(1, [])
+        return []
     if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
-    rng = SplitMix64(seed)
+        return [(0, 1)]
     seq = [rng.below(n) for _ in range(n - 2)]
     deg = [1] * n
     for x in seq:
@@ -134,34 +134,38 @@ def random_tree(n: int, seed: int) -> Graph:
         if deg[x] == 1:
             heappush(leaves, x)
     edges.append((heappop(leaves), heappop(leaves)))
-    return Graph.from_edges(n, edges)
+    return edges
 
 
-def sparse_random(n: int, seed: int, p: float | None = None, max_attempts: int = 10000) -> Graph:
-    """Connected Erdos-Renyi graph by rejection sampling.
+def random_tree(n: int, seed: int) -> Graph:
+    """Uniform random labeled tree via a sampled Pruefer sequence."""
+    return Graph.from_edges(n, _pruefer_tree_edges(n, SplitMix64(seed)))
 
-    Default edge probability 3/n keeps the expected degree at 3.  Each edge
-    slot consumes one 53-bit draw compared against an integer threshold, so
-    the instance is exact, not float-rounding dependent.
+
+def sparse_random(n: int, seed: int, p: float | None = None) -> Graph:
+    """Connected random graph by construction: a uniform random tree plus
+    every other vertex pair independently with probability p.
+
+    The tree and the extra edges come from one splitmix64 stream.  Default
+    p = 1/n adds about n/2 edges to the tree's n-1, so the mean degree stays
+    near 3; p = 1 gives the complete graph.  Each remaining pair, in
+    ascending (u, v) order, consumes one 53-bit draw compared against an
+    integer threshold, so the instance is exact, not float-rounding
+    dependent.
     """
-    if n == 1:
-        return Graph.from_edges(1, [])
     if p is None:
-        p = min(1.0, 3.0 / n)
+        p = 1.0 / n
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0,1], got {p}")
     thresh = int(p * (1 << 53))
     rng = SplitMix64(seed)
-    for _ in range(max_attempts):
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.next_u64() >> 11 < thresh:
-                    edges.append((u, v))
-        g = Graph.from_edges(n, edges)
-        if is_connected(g):
-            return g
-    raise ValueError(f"no connected sample for n={n}, p={p} after {max_attempts} attempts")
+    edges = _pruefer_tree_edges(n, rng)
+    tree = {(min(a, b), max(a, b)) for a, b in edges}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in tree and rng.next_u64() >> 11 < thresh:
+                edges.append((u, v))
+    return Graph.from_edges(n, edges)
 
 
 def generate(spec: GeneratorSpec) -> Graph:

@@ -235,9 +235,10 @@ class DisjointSet:
 
     Roots are maintained eagerly: every union relabels the smaller class, so
     find is a single array lookup.  That trades O(n log n) total relabel work
-    for O(1) finds, the right balance when callers scan all active vertices
-    far more often than they merge.  `parent[x]` always points directly at
-    the root of x, or is -1 while x is inactive.
+    for O(1) finds.  `parent[x]` always points directly at the root of x, or
+    is -1 while x is inactive, so the list itself is a complete component
+    labeling at any moment: `residual_decompositions` copies it whole into
+    its table after each radius step instead of calling find per vertex.
     """
 
     def __init__(self, n: int):

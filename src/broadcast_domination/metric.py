@@ -6,7 +6,9 @@ outside vertex belongs to, and, for every other center w, how large a power
 a ball at w needs before it swallows the ball's frontier into a given
 piece.  All of it is built for every (center, power) pair in one cubic
 sweep; balls whose complement has more than two components never become
-states, so only their component count is kept.
+states, so only their component count is kept.  Per center the Python work
+is the shell-by-shell disjoint-set build; copying its roots into the table
+and turning them into labels are array operations.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "RequirementTable",
     "residual_decompositions",
     "requirement_table",
-    "residual_table_csv",
 ]
 
 
@@ -66,8 +67,11 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     Radii are processed in decreasing order per center: stepping from p+1 to
     p activates exactly the distance-(p+1) shell (ascending vertex index),
     merging each new vertex with its already-active neighbors through a
-    disjoint set.  A scan after each step records labels; the total work per
-    center is O(n^2).
+    disjoint set, O(n^2) per center.  That shell build and the activations
+    are the only Python work; at each kept radius the disjoint set's root
+    array is copied into the label row as it stands (-1 inside the ball).
+    One array pass after all centers turns roots into first-touch labels and
+    counts the component sizes.
     """
     n = g.n
     if n < 2:
@@ -76,8 +80,7 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
         raise DisconnectedGraphError("residual decompositions require a connected graph")
     rho = dm.radius
     kappa = np.zeros((n, rho + 1), dtype=np.int16)
-    comp_label = np.zeros((n, rho + 1, n), dtype=np.int16)
-    comp_size = np.zeros((n, rho + 1, 3), dtype=np.int32)
+    comp_label = np.full((n, rho + 1, n), -1, dtype=np.int16)
     adj = g.adj
     for v in range(n):
         dr = dm.dist[v].tolist()
@@ -94,39 +97,25 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
                 for y in adj[z]:
                     if dsu.is_active(y) and dsu.union(z, y):
                         ncomp -= 1
-            if p > rho:
-                continue
-            kappa[v, p] = ncomp
-            if ncomp > 2:
-                continue
-            root = dsu.parent
-            acts = []
-            if ncomp == 1:
-                for z in range(n):
-                    if dr[z] > p:
-                        acts.append(z)
-                comp_label[v, p, acts] = 1
-                comp_size[v, p, 1] = len(acts)
-            else:  # ncomp == 2
-                labs = []
-                first_root = -1
-                c1 = c2 = 0
-                for z in range(n):
-                    if dr[z] <= p:
-                        continue
-                    acts.append(z)
-                    r = root[z]
-                    if first_root < 0:
-                        first_root = r
-                    if r == first_root:
-                        labs.append(1)
-                        c1 += 1
-                    else:
-                        labs.append(2)
-                        c2 += 1
-                comp_label[v, p, acts] = labs
-                comp_size[v, p, 1] = c1
-                comp_size[v, p, 2] = c2
+            if p <= rho:
+                kappa[v, p] = ncomp
+                if ncomp <= 2:
+                    comp_label[v, p] = dsu.parent
+    # rows never written (p = 0, p >= ecc, more than two components) hold -1
+    # throughout and come out as all-inside rows of label 0
+    rows = comp_label.reshape(-1, n)
+    outside = rows >= 0
+    first_root = rows[np.arange(rows.shape[0]), outside.argmax(axis=1)]
+    in_first = rows == first_root[:, None]
+    in_first &= outside
+    comp_size = np.zeros((n, rho + 1, 3), dtype=np.int32)
+    sizes = comp_size.reshape(-1, 3)
+    sizes[:, 1] = np.count_nonzero(in_first, axis=1)
+    sizes[:, 2] = np.count_nonzero(outside, axis=1) - sizes[:, 1]
+    # label = 2 outside the ball, minus 1 in the first-touch class
+    np.copyto(rows, outside)
+    rows <<= 1
+    rows -= in_first
     return ResidualTable(n=n, rho=rho, kappa=kappa, comp_label=comp_label, comp_size=comp_size)
 
 
@@ -180,19 +169,3 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
         gkey = key[starts]
         req[v, gkey // 2, gkey % 2] = gmax
     return RequirementTable(rho=rho, req=req)
-
-
-def residual_table_csv(rt: ResidualTable) -> str:
-    """Debug dump, one row per ball: v,p,kappa,size1,size2 (sizes blank for
-    balls whose decomposition is not kept).  Meant for golden-file diffs."""
-    lines = ["v,p,kappa,size1,size2"]
-    for v in range(rt.n):
-        for p in range(1, rt.rho + 1):
-            k = rt.components(v, p)
-            if k <= 2:
-                s1 = rt.size_of(v, p, 1) if k >= 1 else 0
-                s2 = rt.size_of(v, p, 2) if k == 2 else 0
-                lines.append(f"{v},{p},{k},{s1},{s2}")
-            else:
-                lines.append(f"{v},{p},{k},,")
-    return "\n".join(lines) + "\n"

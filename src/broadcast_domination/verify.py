@@ -25,7 +25,6 @@ __all__ = [
     "domination_edges",
     "full_verdict",
     "parse_broadcast",
-    "render_broadcast",
 ]
 
 
@@ -55,9 +54,6 @@ class Broadcast:
     @property
     def active(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.assignment)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.assignment)
 
 
 class CheckResult(NamedTuple):
@@ -225,7 +221,3 @@ def parse_broadcast(text: str) -> Broadcast:
             raise ValueError(f"expected 'vertex power', got {line!r}")
         pairs.append((int(parts[0]), int(parts[1])))
     return Broadcast.from_pairs(pairs)
-
-
-def render_broadcast(bc: Broadcast) -> str:
-    return "".join(f"{v} {p}\n" for v, p in bc.assignment)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from broadcast_domination.generators import (
@@ -78,6 +80,21 @@ class TestFamilies:
         assert is_connected(g)
         dense = sparse_random(10, 5, p=1.0)
         assert dense.edge_count == 45  # complete graph
+
+    def test_sparse_random_large_is_connected_and_fast(self):
+        # connected by construction, so a size at which a connected G(n, 3/n)
+        # sample is rare still takes milliseconds
+        t0 = time.perf_counter()
+        g = sparse_random(160, 1)
+        elapsed = time.perf_counter() - t0
+        assert is_connected(g)
+        assert elapsed < 1.0
+        assert 2.5 <= 2 * g.edge_count / g.n <= 3.5  # mean degree near 3
+
+    def test_sparse_random_pinned(self):
+        assert sparse_random(8, 5).edges() == [
+            (0, 2), (0, 7), (1, 2), (2, 7), (3, 5), (4, 5), (4, 7), (5, 6)
+        ]
 
     def test_determinism_across_calls(self):
         for family in FAMILIES:

@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree
 from broadcast_domination.graph import Graph, apsp, bits_of, iter_bits
-from broadcast_domination.metric import requirement_table, residual_decompositions, residual_table_csv
+from broadcast_domination.metric import requirement_table, residual_decompositions
 from broadcast_domination.verify import ball_mask
 
-from conftest import connected_graphs
+from conftest import connected_graphs, random_connected_graph
 
 
 def path(n):
@@ -47,6 +50,15 @@ def bfs_component_labels(g, inside):
     return labels, nxt
 
 
+@pytest.fixture(scope="module")
+def label_graphs(small_random_graphs):
+    """The small random suite plus inputs with large radii and with balls
+    that swallow vertex 0, which the first-touch relabel must skip."""
+    larger = [path_graph(40), cycle_graph(31), barbell_graph(30)]
+    larger += [random_connected_graph(40, seed) for seed in (11, 12, 13)]
+    return small_random_graphs + larger
+
+
 class TestBall:
     def test_p4(self):
         dm = apsp(path(4))
@@ -81,6 +93,19 @@ class TestResidualDecompositions:
         assert rt.label_of(2, 1, 4) == 2
         assert rt.size_of(2, 1, 1) == rt.size_of(2, 1, 2) == 1
 
+    def test_p5_kappa_and_sizes(self):
+        _, rt, _ = tables(path(5))
+        # rows v = 0..4; columns p = 1, 2
+        assert rt.kappa[:, 1:].tolist() == [[1, 1], [1, 1], [2, 0], [1, 1], [1, 1]]
+        assert rt.comp_size[:, 1:, 1:].tolist() == [
+            [[3, 0], [2, 0]],
+            [[2, 0], [1, 0]],
+            [[1, 1], [0, 0]],
+            [[2, 0], [1, 0]],
+            [[3, 0], [2, 0]],
+        ]
+        assert not rt.comp_size[:, :, 0].any()
+
     def test_star_leaf_ball_discarded(self):
         g = star(5)
         _, rt, _ = tables(g)
@@ -88,8 +113,65 @@ class TestResidualDecompositions:
         assert rt.components(1, 1) > 2  # no states are built for it
         assert rt.components(0, 1) == 0  # center ball is radial
 
-    def test_labels_match_fresh_bfs(self, small_random_graphs):
-        for g in small_random_graphs:
+    def test_star_discarded_row(self):
+        _, rt, _ = tables(star(5))
+        # a leaf ball leaves four components: kappa is kept, sizes and
+        # labels are not
+        assert rt.kappa[1, 1] == 4
+        assert not rt.comp_size[1, 1].any()
+        assert not rt.comp_label[1, 1].any()
+        # the radial centre ball leaves nothing outside it
+        assert rt.kappa[0, 1] == 0
+        assert not rt.comp_size[0, 1].any()
+
+    def test_tables_pinned(self):
+        # sha256 of the raw bytes of kappa, comp_label, comp_size and req:
+        # any rewrite of the residual or requirement layer must reproduce
+        # the tables byte for byte
+        pinned = [
+            (
+                "path-96",
+                path_graph(96),
+                "a680b5b7e9804f7a13627179f8a53160e26aaf475128dcd5b20a463ac9215c25",
+                "1bdce7aa629e0fa32141fbe322a0919ddac24a41580f0b58ca9a0a9199853637",
+                "07e15e62862119a4988b0baecd08ae16962f011099b49d6d4fa3af317fc258c7",
+                "56710ccabc6715e4244bb7d73a6c4df6b05a730750b2bcd5a002cdab5f3735f5",
+            ),
+            (
+                "cycle-64",
+                cycle_graph(64),
+                "e3412b773231426af27801b25a9f34341ad75915169b40908f67daa62b89ab8b",
+                "4c3f6efa072ae65f35047f555b907527cc2908f6a98b1d2111eaffd632ab16cf",
+                "8e0b8d9f34bd1176ee2dc72130a437199b95c07467933b0085cee10bc25739bb",
+                "0fc666519b8378c1aa76963dce91607d000f8016c545baa9493e56f021c0a146",
+            ),
+            (
+                "barbell-60",
+                barbell_graph(60),
+                "82d632750a6e0b4941c3c350679b8f0db8f2997b1aa4131edf5d8c841c50fcee",
+                "5b9a601116f36612a0599b8f5c579b0f31f63dcf90b971c6e5759469d7bf6a69",
+                "4c6cce47718ea3832cd031afa5bc2381c103f3db822c2b46c9c936796cf2393e",
+                "e616fce39505c17b74e81858a3cc562070473c1d2b3411706f57509513199ab5",
+            ),
+            (
+                "random-tree-120-3",
+                random_tree(120, 3),
+                "68d84009b34f4c4b64e1686f3448088e73d4c9bfa60861fe99b60a412bcda729",
+                "68e67cb1ec97c4cf0f83aca3ea17a78cdbd4700d938df752cff7c30192ee4d97",
+                "913604982f3351fd2f8c7cbb88b989603fbdf290da4f2cdf7e1f26a7da83d9ec",
+                "248a208ac22f48c30ee18ef6f9e1a1cc263cb339a0277e70a5d60403f2b99693",
+            ),
+        ]
+        for name, g, *want in pinned:
+            _, rt, rq = tables(g)
+            got = [
+                hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                for a in (rt.kappa, rt.comp_label, rt.comp_size, rq.req)
+            ]
+            assert got == want, name
+
+    def test_labels_match_fresh_bfs(self, label_graphs):
+        for g in label_graphs:
             dm, rt, _ = tables(g)
             for v in range(g.n):
                 for p in range(1, dm.radius + 1):
@@ -100,8 +182,8 @@ class TestResidualDecompositions:
                         got = rt.comp_label[v, p].tolist()
                         assert got == want
 
-    def test_sizes_partition_complement(self, small_random_graphs):
-        for g in small_random_graphs:
+    def test_sizes_partition_complement(self, label_graphs):
+        for g in label_graphs:
             dm, rt, _ = tables(g)
             for v in range(g.n):
                 for p in range(1, dm.radius + 1):
@@ -190,30 +272,6 @@ class TestBallLaws:
                             if not x & y:
                                 touch = any(g.adj_bits[z] & y for z in iter_bits(x))
                                 assert touch == (d == p + q + 1)
-
-
-class TestCsvDump:
-    def test_p5_golden(self):
-        _, rt, _ = tables(path(5))
-        assert residual_table_csv(rt) == (
-            "v,p,kappa,size1,size2\n"
-            "0,1,1,3,0\n"
-            "0,2,1,2,0\n"
-            "1,1,1,2,0\n"
-            "1,2,1,1,0\n"
-            "2,1,2,1,1\n"
-            "2,2,0,0,0\n"
-            "3,1,1,2,0\n"
-            "3,2,1,1,0\n"
-            "4,1,1,3,0\n"
-            "4,2,1,2,0\n"
-        )
-
-    def test_star_discarded_row(self):
-        _, rt, _ = tables(star(5))
-        lines = residual_table_csv(rt).splitlines()
-        assert "1,1,4,," in lines
-        assert "0,1,0,0,0" in lines
 
 
 class TestPreconditions:
