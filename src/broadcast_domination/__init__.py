@@ -15,6 +15,7 @@ from .graph import (
     DistanceMatrix,
     Graph,
     GraphFormatError,
+    GraphTooLargeError,
     InternalError,
     apsp,
     bits_of,

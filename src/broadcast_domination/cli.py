@@ -3,8 +3,8 @@
 Reports are line-oriented key:value text so they diff cleanly.  Timing is
 printed only when asked for (--timing), keeping default output byte-stable
 across runs.  Exit codes: 0 success, 1 usage or parse error, 2 infeasible
-precondition (disconnected input, oracle size limit, bench timeout), 3
-internal invariant violation.
+precondition (disconnected input, 32 000 or more vertices, oracle size
+limit, bench timeout), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,16 @@ from pathlib import Path
 from .anchored import solve_path_anchored
 from .bench import BenchTimeout, format_table, report_to_csv, run_bench, speedup_csv
 from .generators import FAMILIES, GeneratorSpec, generate
-from .graph import DisconnectedGraphError, Graph, GraphFormatError, InternalError, apsp, parse_graph, render_graph
+from .graph import (
+    DisconnectedGraphError,
+    Graph,
+    GraphFormatError,
+    GraphTooLargeError,
+    InternalError,
+    apsp,
+    parse_graph,
+    render_graph,
+)
 from .metric import requirement_table, residual_decompositions
 from .oracle import OracleLimitError, oracle_gamma_b, oracle_gamma_path
 from .pathdag import build_dag, dag_to_dot, solve_path
@@ -233,7 +242,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (DisconnectedGraphError, OracleLimitError, BenchTimeout) as exc:
+    except (DisconnectedGraphError, GraphTooLargeError, OracleLimitError, BenchTimeout) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
     except ValueError as exc:  # GraphFormatError included

@@ -18,11 +18,13 @@ __all__ = [
     "DistanceMatrix",
     "DisjointSet",
     "GraphFormatError",
+    "GraphTooLargeError",
     "DisconnectedGraphError",
     "InternalError",
     "parse_graph",
     "render_graph",
     "apsp",
+    "bfs_distances",
     "is_connected",
     "induced_subgraph",
     "bits_of",
@@ -32,6 +34,16 @@ __all__ = [
 
 class GraphFormatError(ValueError):
     """Malformed edge-list text, or an edge set violating simplicity."""
+
+
+# distances and table entries are int16, so Graph.from_edges keeps every
+# vertex count below this
+MAX_VERTICES = 32000
+
+
+class GraphTooLargeError(ValueError):
+    """A vertex count of MAX_VERTICES or more: rejected before any
+    per-vertex allocation."""
 
 
 class DisconnectedGraphError(ValueError):
@@ -82,6 +94,8 @@ class Graph:
         """
         if n <= 0:
             raise GraphFormatError(f"vertex count must be positive, got {n}")
+        if n >= MAX_VERTICES:
+            raise GraphTooLargeError(f"vertex count {n} is not below the supported maximum {MAX_VERTICES}")
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -170,30 +184,33 @@ class DistanceMatrix:
         return self.dist.shape[0]
 
 
+def bfs_distances(g: Graph, s: int) -> list[int]:
+    """Hop distances from s by BFS; unreachable vertices hold the sentinel n."""
+    n = g.n
+    row = [n] * n
+    row[s] = 0
+    q = deque([s])
+    adj = g.adj
+    while q:
+        u = q.popleft()
+        du = row[u] + 1
+        for w in adj[u]:
+            if row[w] == n:
+                row[w] = du
+                q.append(w)
+    return row
+
+
 def apsp(g: Graph) -> DistanceMatrix:
     """Exact hop distances via one BFS per vertex, O(n*(n+m)) total."""
     n = g.n
-    if n >= 32000:
-        raise ValueError("distance tables use int16; graphs this large are unsupported")
-    sentinel = n
     dist = np.empty((n, n), dtype=np.int16)
-    adj = g.adj
     for s in range(n):
-        row = [sentinel] * n
-        row[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            du = row[u] + 1
-            for w in adj[u]:
-                if row[w] == sentinel:
-                    row[w] = du
-                    q.append(w)
-        dist[s] = row
+        dist[s] = bfs_distances(g, s)
     ecc = dist.max(axis=1)
-    connected = bool(int(ecc.max()) < sentinel) if n > 1 else True
+    connected = bool(int(ecc.max()) < n) if n > 1 else True
     radius = int(ecc.min())
-    return DistanceMatrix(dist=dist, ecc=ecc, radius=radius, sentinel=sentinel, connected=connected)
+    return DistanceMatrix(dist=dist, ecc=ecc, radius=radius, sentinel=n, connected=connected)
 
 
 def is_connected(g: Graph) -> bool:

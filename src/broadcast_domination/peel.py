@@ -7,6 +7,10 @@ and keeping the cheapest feasible combination is exact.  A residual that is
 a single vertex is handled explicitly: it sits outside the peeled ball, so
 it must receive power 1 rather than the zero-cost one-vertex convention of
 the standalone path problem.
+
+Most candidates are dropped before their residual is solved: a lower bound
+on the residual's diameter bounds its broadcast cost from below, and a
+candidate that cannot beat the incumbent is not worth a path solve.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from .graph import (
     Graph,
     InternalError,
     apsp,
+    bfs_distances,
     bits_of,
     induced_subgraph,
-    is_connected,
 )
 from .pathdag import solve_path
 from .verify import Broadcast, verify_dominating
@@ -41,6 +45,7 @@ RESIDUAL_EMPTY = "empty"
 RESIDUAL_SINGLETON = "singleton"
 RESIDUAL_CONNECTED = "connected"
 RESIDUAL_SKIPPED = "skipped-disconnected"
+RESIDUAL_PRUNED = "pruned"
 
 
 @dataclass(frozen=True)
@@ -60,13 +65,39 @@ def radial_broadcast(dm: DistanceMatrix) -> Broadcast:
     return Broadcast(((center, dm.radius),)) if dm.radius > 0 else Broadcast(())
 
 
+def _cost_floor(k: int, diam_lb: int) -> int:
+    """Least total cost of a peel candidate (x, k) whose nonempty residual H
+    has diam H >= diam_lb, when no residual power is capped:
+    k + ceil((diam_lb + 1) / 3), by Erwin's bound gamma_b(H) >= ceil((diam H + 1) / 3)."""
+    return k + diam_lb // 3 + 1
+
+
 def _evaluate_candidate(
     g: Graph,
     dm: DistanceMatrix,
     x: int,
     k: int,
     path_solver: Callable[[Graph], Broadcast],
+    bound: Optional[int] = None,
 ) -> Candidate:
+    """Peel ball (x, k) and solve what is left.
+
+    With a bound (at most rad(G)), a residual H of two or more vertices is
+    pruned, with no path solve, once _cost_floor(k, D) >= bound for a lower
+    bound D on diam H.  D is taken twice: first as the largest G-distance
+    between two vertices outside the ball, before H is built; then, after
+    the connectivity check, as the eccentricity in H of the vertex a BFS
+    from H's first vertex reaches last (a double sweep).
+
+    Why this is sound: H is an induced subgraph, so its distances are never
+    shorter than G-distances, and no eccentricity exceeds the diameter;
+    either D is at most diam H.  solve_path(H) dominates H, so it costs at
+    least gamma_b(H) >= ceil((diam H + 1) / 3).  If capping at ecc_G leaves
+    every residual power as it is, the candidate costs at least
+    _cost_floor(k, D).  If the cap lowers some power, that vertex alone still
+    pays ecc_G >= rad(G) >= bound.  Either way a pruned candidate costs at
+    least the bound, so it could not have strictly improved on it.
+    """
     dist_row = dm.dist[x]
     outside = np.nonzero(dist_row > k)[0]
     if outside.size == 0:
@@ -75,10 +106,15 @@ def _evaluate_candidate(
         y = int(outside[0])
         cand = Candidate(x, k, RESIDUAL_SINGLETON, k + 1, Broadcast.from_pairs([(x, k), (y, 1)]))
     else:
-        keep = bits_of(int(z) for z in outside)
-        h, back = induced_subgraph(g, keep)
-        if not is_connected(h):
+        if bound is not None and _cost_floor(k, int(dm.dist[np.ix_(outside, outside)].max())) >= bound:
+            return Candidate(x, k, RESIDUAL_PRUNED, None, None)
+        h, back = induced_subgraph(g, bits_of(int(z) for z in outside))
+        first = bfs_distances(h, 0)
+        far = max(first)
+        if far == h.n:  # the unreachable sentinel
             return Candidate(x, k, RESIDUAL_SKIPPED, None, None)
+        if bound is not None and _cost_floor(k, max(bfs_distances(h, first.index(far)))) >= bound:
+            return Candidate(x, k, RESIDUAL_PRUNED, None, None)
         sub = path_solver(h)
         assignment = [(x, k)]
         total = k
@@ -88,7 +124,7 @@ def _evaluate_candidate(
             assignment.append((orig, power))
             total += power
         cand = Candidate(x, k, RESIDUAL_CONNECTED, total, Broadcast.from_pairs(assignment))
-    # every non-skipped candidate is a dominating broadcast of the input
+    # every evaluated candidate is a dominating broadcast of the input
     if not verify_dominating(g, dm, cand.broadcast).ok:
         raise InternalError(f"peel candidate ({x}, {k}) does not dominate the graph")
     return cand
@@ -117,22 +153,19 @@ def _best_candidate_for_center(
 ) -> tuple[int, int, int, Broadcast] | None:
     """Cheapest candidate for one peel center, pruned against the incumbent.
 
-    Pruning a candidate whose residual is nonempty when k + 1 >= incumbent is
-    safe: the residual contributes at least 1, so such a candidate can never
-    strictly improve.  Returns (cost, x, k, broadcast) or None.
+    Candidates that cannot strictly improve on the bound are never solved.
+    Once k + 1 >= bound, no later radius can improve: a nonempty residual
+    adds at least 1, and an empty one needs k >= ecc(x) >= rad(G) >= bound.
+    Below that, _evaluate_candidate applies the residual-diameter bound.
+    Returns (cost, x, k, broadcast) or None.
     """
-    n = g.n
-    counts = np.bincount(dm.dist[x].astype(np.int64), minlength=n + 1).cumsum()
     best: tuple[int, int, int, Broadcast] | None = None
     bound = incumbent
     for k in range(1, dm.radius + 1):
-        ball_size = int(counts[k])
-        if ball_size < n and k + 1 >= bound:
-            continue
-        cand = _evaluate_candidate(g, dm, x, k, path_solver)
-        if cand.total_cost is None:
-            continue
-        if cand.total_cost < bound:
+        if k + 1 >= bound:
+            break
+        cand = _evaluate_candidate(g, dm, x, k, path_solver, bound)
+        if cand.total_cost is not None and cand.total_cost < bound:
             bound = cand.total_cost
             best = (cand.total_cost, x, k, cand.broadcast)
     return best
@@ -167,7 +200,8 @@ def solve_optimal(
     One loop merges the per-center bests in center order, keeping a result
     only when it strictly improves.  Sequentially each center is pruned
     against the incumbent reached so far; pool workers prune against
-    rad(G) only.  Pruning discards just candidates that cannot strictly
+    rad(G) only, through the same function.  Pruning by the
+    residual-diameter bound discards just candidates that cannot strictly
     improve on the bound, so either way the first strict improvement in
     center order is the same and the result is independent of the worker
     count.

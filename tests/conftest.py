@@ -1,10 +1,12 @@
-"""Shared helpers: exhaustive small-graph enumeration and seeded randoms."""
+"""Shared helpers: exhaustive small-graph enumeration, seeded randoms and a
+hypothesis strategy for connected graphs."""
 
 from __future__ import annotations
 
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from broadcast_domination.generators import SplitMix64, random_tree
 from broadcast_domination.graph import Graph, is_connected
@@ -18,6 +20,21 @@ def connected_graphs(n):
         g = Graph.from_edges(n, edges)
         if is_connected(g):
             yield g
+
+
+@st.composite
+def graphs(draw, max_n=16):
+    # random tree plus extra edges: always connected
+    n = draw(st.integers(1, max_n))
+    edges = set()
+    for v in range(1, n):
+        edges.add((draw(st.integers(0, v - 1)), v))
+    for _ in range(draw(st.integers(0, n))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(n, sorted(edges))
 
 
 def random_connected_graph(n: int, seed: int) -> Graph:

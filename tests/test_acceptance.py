@@ -16,11 +16,19 @@ import pytest
 
 from broadcast_domination.bench import SOLVER_BASELINE, SOLVER_NEW, run_bench
 from broadcast_domination.generators import GeneratorSpec, cycle_graph, path_graph
-from broadcast_domination.graph import apsp, iter_bits
+from broadcast_domination.graph import apsp, bits_of, induced_subgraph, iter_bits
 from broadcast_domination.metric import requirement_table, residual_decompositions
 from broadcast_domination.oracle import iter_broadcasts_of_cost, oracle_gamma_b, oracle_gamma_path
 from broadcast_domination.pathdag import build_dag, solve_path
-from broadcast_domination.peel import RESIDUAL_SKIPPED, iter_candidates, solve_optimal
+from broadcast_domination.peel import (
+    RESIDUAL_CONNECTED,
+    RESIDUAL_SINGLETON,
+    RESIDUAL_SKIPPED,
+    _cost_floor,
+    iter_candidates,
+    radial_broadcast,
+    solve_optimal,
+)
 from broadcast_domination.verify import (
     Broadcast,
     ball_mask,
@@ -83,6 +91,21 @@ def _is_cycle_shaped(dm, bc) -> bool:
     return len(seen) == len(actives)
 
 
+def _unpruned_optimum(dm, candidates):
+    """The peel loop without pruning: the radial broadcast, replaced by each
+    candidate in (x, k) order that strictly improves on the best so far."""
+    best = radial_broadcast(dm)
+    for cand in candidates:
+        if cand.total_cost is not None and cand.total_cost < best.cost:
+            best = cand.broadcast
+    return best
+
+
+def _residual_diameter(g, dm, x, k) -> int:
+    h, _ = induced_subgraph(g, bits_of(z for z in range(g.n) if dm.dist[x, z] > k))
+    return int(apsp(h).ecc.max())
+
+
 @pytest.fixture(scope="session")
 def exhaustive_sweep():
     """One pass over every connected labeled graph with n <= 6."""
@@ -93,6 +116,8 @@ def exhaustive_sweep():
         "law_violations": [],
         "arc_monotonicity": [],
         "candidate_infeasible": [],
+        "pruned_differs": [],
+        "floor_above_cost": [],
         "singleton_peel": [],
         "no_efficient_optimum": [],
         "no_path_or_cycle_witness": [],
@@ -126,11 +151,18 @@ def exhaustive_sweep():
                         res["arc_monotonicity"].append(tag)
                         break
 
-                for cand in iter_candidates(g, dm):
+                candidates = list(iter_candidates(g, dm))
+                for cand in candidates:
                     if cand.residual_kind == RESIDUAL_SKIPPED:
                         continue
+                    x, k = cand.peel_center, cand.peel_power
                     if not verify_dominating(g, dm, cand.broadcast).ok:
-                        res["candidate_infeasible"].append(tag + (cand.peel_center, cand.peel_power))
+                        res["candidate_infeasible"].append(tag + (x, k))
+                    if cand.residual_kind in (RESIDUAL_SINGLETON, RESIDUAL_CONNECTED) and cand.total_cost <= dm.radius:
+                        if _cost_floor(k, _residual_diameter(g, dm, x, k)) > cand.total_cost:
+                            res["floor_above_cost"].append(tag + (x, k))
+                if opt != _unpruned_optimum(dm, candidates):
+                    res["pruned_differs"].append(tag)
 
                 found_efficient = False
                 found_shape = False
@@ -164,10 +196,11 @@ def random_sweep():
         rows.append(
             (
                 g,
-                solve_optimal(g).cost,
+                solve_optimal(g),
                 oracle_gamma_b(g).cost,
                 solve_path(g).cost,
                 oracle_gamma_path(g).cost,
+                _unpruned_optimum(apsp(g), iter_candidates(g)),
             )
         )
     return rows
@@ -175,7 +208,7 @@ def random_sweep():
 
 def test_oracle_equivalence_general(exhaustive_sweep, random_sweep):
     assert exhaustive_sweep["gamma_b_mismatch"] == []
-    bad = [(g.n, g.edges()) for g, sc, oc, _, _ in random_sweep if sc != oc]
+    bad = [(g.n, g.edges()) for g, opt, oc, *_ in random_sweep if opt.cost != oc]
     assert bad == []
     _passed(
         "oracle equivalence (general)",
@@ -185,12 +218,35 @@ def test_oracle_equivalence_general(exhaustive_sweep, random_sweep):
 
 def test_oracle_equivalence_path_case(exhaustive_sweep, random_sweep):
     assert exhaustive_sweep["gamma_path_mismatch"] == []
-    bad = [(g.n, g.edges()) for g, _, _, sc, oc in random_sweep if sc != oc]
+    bad = [(g.n, g.edges()) for g, _, _, sc, oc, _ in random_sweep if sc != oc]
     assert bad == []
     _passed(
         "oracle equivalence (path case)",
         f"{exhaustive_sweep['graphs']} exhaustive graphs n<=6 + {len(random_sweep)} random 7<=n<=12, exact",
     )
+
+
+def test_pruned_peel_matches_unpruned_loop(exhaustive_sweep, random_sweep):
+    # the diameter bound may drop only candidates that cannot strictly
+    # improve, so the answer is the unpruned loop's, assignment for assignment
+    assert exhaustive_sweep["pruned_differs"] == []
+    bad = [(g.n, g.edges()) for g, opt, *_, ref in random_sweep if opt != ref]
+    assert bad == []
+    pooled = random_sweep[::50]
+    bad = [(g.n, g.edges()) for g, *_, ref in pooled if solve_optimal(g, threads=2) != ref]
+    assert bad == []
+    _passed(
+        "pruned peel loop",
+        f"equals the unpruned loop on {exhaustive_sweep['graphs']} graphs n<=6 and {len(random_sweep)} random"
+        f" 7<=n<=12; threads=2 on {len(pooled)} of them",
+    )
+
+
+def test_diameter_bound_sound(exhaustive_sweep):
+    # k + ceil((diam H + 1)/3) never exceeds the cost of a candidate that
+    # could matter (cost <= rad(G)); diam H is the exact residual diameter
+    assert exhaustive_sweep["floor_above_cost"] == []
+    _passed("diameter bound", f"at most the candidate cost on all {exhaustive_sweep['graphs']} graphs n<=6")
 
 
 def test_invariant_suite(exhaustive_sweep, small_random_graphs):

@@ -16,7 +16,7 @@ from broadcast_domination.graph import (
     render_graph,
 )
 
-from conftest import random_connected_graph
+from conftest import graphs, random_connected_graph
 
 
 def path(n):
@@ -29,21 +29,6 @@ def cycle(n):
 
 def star(leaves):
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-@st.composite
-def graphs(draw, max_n=16):
-    # random tree plus extra edges: always connected
-    n = draw(st.integers(1, max_n))
-    edges = set()
-    for v in range(1, n):
-        edges.add((draw(st.integers(0, v - 1)), v))
-    for _ in range(draw(st.integers(0, n))):
-        u = draw(st.integers(0, n - 1))
-        v = draw(st.integers(0, n - 1))
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(n, sorted(edges))
 
 
 class TestParse:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from broadcast_domination.generators import cycle_graph
 from broadcast_domination.graph import Graph, apsp
@@ -18,7 +20,7 @@ from broadcast_domination.peel import (
 )
 from broadcast_domination.verify import Broadcast, verify_dominating, verify_efficient, verify_path_shaped
 
-from conftest import connected_graphs, random_connected_graph
+from conftest import connected_graphs, graphs, random_connected_graph
 
 
 def path(n):
@@ -143,6 +145,16 @@ class TestSolveOptimal:
         g = cycle_graph(13)
         assert solve_optimal(g, threads=1).assignment == want
         assert solve_optimal(g, threads=2).assignment == want
+
+    @given(graphs(max_n=14), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_relabelling_keeps_cost_and_answers_dominate(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        bg, bh = solve_optimal(g), solve_optimal(h)
+        assert bg.cost == bh.cost
+        assert verify_dominating(g, apsp(g), bg).ok
+        assert verify_dominating(h, apsp(h), bh).ok
 
     def test_invariant_check_survives_optimize_flag(self):
         # a path solver that returns nothing leaves every connected residual
