@@ -91,12 +91,13 @@ def _evaluate_candidate(
 
     Why this is sound: H is an induced subgraph, so its distances are never
     shorter than G-distances, and no eccentricity exceeds the diameter;
-    either D is at most diam H.  solve_path(H) dominates H, so it costs at
-    least gamma_b(H) >= ceil((diam H + 1) / 3).  If capping at ecc_G leaves
-    every residual power as it is, the candidate costs at least
-    _cost_floor(k, D).  If the cap lowers some power, that vertex alone still
-    pays ecc_G >= rad(G) >= bound.  Either way a pruned candidate costs at
-    least the bound, so it could not have strictly improved on it.
+    so each D is at most diam H.  The path solver returns a dominating
+    broadcast of H, which costs at least gamma_b(H) >= ceil((diam H + 1) / 3).
+    If capping at ecc_G leaves every residual power as it is, the candidate
+    costs at least _cost_floor(k, D).  If the cap lowers some power, that
+    vertex alone still pays ecc_G >= rad(G) >= bound.  Either way a pruned
+    candidate costs at least the bound, so it could not have strictly
+    improved on it.
     """
     dist_row = dm.dist[x]
     outside = np.nonzero(dist_row > k)[0]
