@@ -191,7 +191,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="optimal broadcast domination")
     add_io(p)
     p.add_argument("--baseline", action="store_true", help="use the anchored path-case routine")
-    p.add_argument("--threads", type=int, default=1, help="parallel peel workers")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--timing", action="store_true", help="append a time_ms line")
     p.set_defaults(fn=cmd_solve)
 

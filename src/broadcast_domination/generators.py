@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .graph import Graph, InternalError, is_connected
+from .graph import Graph, InternalError, check_vertex_count, is_connected
 
 __all__ = [
     "FAMILIES",
@@ -173,6 +173,7 @@ def generate(spec: GeneratorSpec) -> Graph:
     family, n = spec.family, spec.n
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    check_vertex_count(n)
     if family == "path":
         g = path_graph(n)
     elif family == "cycle":

@@ -25,6 +25,7 @@ __all__ = [
     "render_graph",
     "apsp",
     "bfs_distances",
+    "check_vertex_count",
     "is_connected",
     "induced_subgraph",
     "bits_of",
@@ -44,6 +45,13 @@ MAX_VERTICES = 32000
 class GraphTooLargeError(ValueError):
     """A vertex count of MAX_VERTICES or more: rejected before any
     per-vertex allocation."""
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise GraphTooLargeError for n >= MAX_VERTICES; callers run it before
+    building anything per vertex."""
+    if n >= MAX_VERTICES:
+        raise GraphTooLargeError(f"vertex count {n} is not below the supported maximum {MAX_VERTICES}")
 
 
 class DisconnectedGraphError(ValueError):
@@ -94,8 +102,7 @@ class Graph:
         """
         if n <= 0:
             raise GraphFormatError(f"vertex count must be positive, got {n}")
-        if n >= MAX_VERTICES:
-            raise GraphTooLargeError(f"vertex count {n} is not below the supported maximum {MAX_VERTICES}")
+        check_vertex_count(n)
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -215,18 +222,7 @@ def apsp(g: Graph) -> DistanceMatrix:
 
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from vertex 0 reaches every vertex (true for n=1)."""
-    seen = 1
-    stack = [0]
-    count = 1
-    adj = g.adj
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen >> w & 1:
-                seen |= 1 << w
-                count += 1
-                stack.append(w)
-    return count == g.n
+    return max(bfs_distances(g, 0)) < g.n
 
 
 def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, list[int]]:

@@ -15,7 +15,6 @@ candidate that cannot beat the incumbent is not worth a path solve.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -145,45 +144,6 @@ def iter_candidates(
             yield _evaluate_candidate(g, dm, x, k, path_solver)
 
 
-def _best_candidate_for_center(
-    g: Graph,
-    dm: DistanceMatrix,
-    x: int,
-    path_solver: Callable[[Graph], Broadcast],
-    incumbent: int,
-) -> tuple[int, int, int, Broadcast] | None:
-    """Cheapest candidate for one peel center, pruned against the incumbent.
-
-    Candidates that cannot strictly improve on the bound are never solved.
-    Once k + 1 >= bound, no later radius can improve: a nonempty residual
-    adds at least 1, and an empty one needs k >= ecc(x) >= rad(G) >= bound.
-    Below that, _evaluate_candidate applies the residual-diameter bound.
-    Returns (cost, x, k, broadcast) or None.
-    """
-    best: tuple[int, int, int, Broadcast] | None = None
-    bound = incumbent
-    for k in range(1, dm.radius + 1):
-        if k + 1 >= bound:
-            break
-        cand = _evaluate_candidate(g, dm, x, k, path_solver, bound)
-        if cand.total_cost is not None and cand.total_cost < bound:
-            bound = cand.total_cost
-            best = (cand.total_cost, x, k, cand.broadcast)
-    return best
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(g: Graph, dm: DistanceMatrix, path_solver: Callable) -> None:
-    _POOL_STATE["args"] = (g, dm, path_solver)
-
-
-def _pool_worker(x: int):
-    g, dm, path_solver = _POOL_STATE["args"]
-    return _best_candidate_for_center(g, dm, x, path_solver, dm.radius)
-
-
 def solve_optimal(
     g: Graph,
     path_solver: Callable[[Graph], Broadcast] = solve_path,
@@ -198,14 +158,14 @@ def solve_optimal(
     skipped.  Ties keep the earliest candidate in (x, k) order, with the
     radial broadcast preceding all of them.
 
-    One loop merges the per-center bests in center order, keeping a result
-    only when it strictly improves.  Sequentially each center is pruned
-    against the incumbent reached so far; pool workers prune against
-    rad(G) only, through the same function.  Pruning by the
-    residual-diameter bound discards just candidates that cannot strictly
-    improve on the bound, so either way the first strict improvement in
-    center order is the same and the result is independent of the worker
-    count.
+    One scan in (x, k) order keeps a candidate only when it strictly
+    improves on the bound, which starts at rad(G) and is the incumbent cost
+    from then on.  Candidates that cannot strictly improve are never
+    solved.  Once k + 1 >= bound, no later radius at that center can
+    improve: a nonempty residual adds at least 1, and an empty one needs
+    k >= ecc(x) >= rad(G) >= bound.  Below that, _evaluate_candidate
+    applies the residual-diameter bound.  threads is accepted for
+    compatibility and has no effect.
     """
     if g.n == 1:
         return Broadcast(())
@@ -213,14 +173,13 @@ def solve_optimal(
     if not dm.connected:
         raise DisconnectedGraphError("solve_optimal requires a connected graph")
     best_bc = radial_broadcast(dm)
-    best_cost = dm.radius
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_pool_init, initargs=(g, dm, path_solver)) as pool:
-            results = list(pool.map(_pool_worker, range(g.n), chunksize=max(1, g.n // (4 * threads))))
-    else:
-        # best_cost is read lazily, as each center is evaluated
-        results = (_best_candidate_for_center(g, dm, x, path_solver, best_cost) for x in range(g.n))
-    for found in results:
-        if found is not None and found[0] < best_cost:
-            best_cost, _, _, best_bc = found
+    bound = dm.radius
+    for x in range(g.n):
+        for k in range(1, dm.radius + 1):
+            if k + 1 >= bound:
+                break
+            cand = _evaluate_candidate(g, dm, x, k, path_solver, bound)
+            if cand.total_cost is not None and cand.total_cost < bound:
+                bound = cand.total_cost
+                best_bc = cand.broadcast
     return best_bc

@@ -124,10 +124,11 @@ class TestExitCodes:
         assert run_cli(["solve"], "4\n0 1\n2 3\n").returncode == 2
 
     def test_vertex_cap_before_allocation(self):
-        # rejected from the header alone: 2**40 per-vertex lists would not fit
+        # rejected from the header or --n alone: 2**40 per-vertex lists would not fit
         for n in (32000, 2**40):
-            for cmd in ("solve", "path"):
-                res = run_cli([cmd], f"{n}\n0 1\n")
+            runs = {cmd: run_cli([cmd], f"{n}\n0 1\n") for cmd in ("solve", "path")}
+            runs["gen"] = run_cli(["gen", "--family", "path", "--n", str(n)])
+            for cmd, res in runs.items():
                 assert res.returncode == 2, (cmd, n, res.stderr)
                 assert res.stderr.startswith("error: vertex count") and "Traceback" not in res.stderr
 

@@ -1,3 +1,4 @@
+import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -133,10 +134,17 @@ class TestSolveOptimal:
             assert verify_dominating(g, dm, bc).ok
             assert bc.cost <= dm.radius
 
-    def test_threads_bit_identical(self):
+    def test_threads_bit_identical(self, monkeypatch):
+        # threads is accepted but starts no worker process
+        def refuse_start(self):
+            raise RuntimeError("solve_optimal started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse_start)
         for seed in (11, 12, 13):
             g = random_connected_graph(14, seed)
-            assert solve_optimal(g, threads=1) == solve_optimal(g, threads=2)
+            want = solve_optimal(g, threads=1)
+            assert solve_optimal(g, threads=2) == want
+            assert solve_optimal(g, threads=4) == want
 
     def test_tie_break_pinned(self):
         # C13 has many optima of cost 5; the earliest (x, k) candidate wins
