@@ -28,7 +28,7 @@ from .graph import (
 from .metric import RequirementTable, ResidualTable, requirement_table, residual_decompositions
 from .oracle import OracleLimitError, OracleResult, oracle_gamma_b, oracle_gamma_path
 from .pathdag import State, StateDag, arc_test, build_dag, enumerate_states, solve_path
-from .peel import Candidate, iter_candidates, radial_broadcast, solve_optimal
+from .peel import Candidate, iter_candidates, multipacking, radial_broadcast, solve_optimal
 from .verify import (
     Broadcast,
     Verdict,

@@ -10,13 +10,21 @@ the standalone path problem.
 
 Most candidates are dropped before their residual is solved: a lower bound
 on the residual's diameter bounds its broadcast cost from below, and a
-candidate that cannot beat the incumbent is not worth a path solve.
+candidate that cannot beat the incumbent is not worth a path solve.  The
+largest G-distance outside each ball comes from one table per center.
+
+A multipacking bounds the whole answer from below: a vertex set with at
+most s members in every ball of radius s >= 1 cannot be dominated for less
+than its size.  multipacking() finds one greedily, and once the incumbent
+costs no more than its size the scan stops, since no later candidate can
+be strictly cheaper.  On paths, trees, grids and sparse random graphs
+whose optimum is the radial broadcast, this leaves few or no path solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -36,6 +44,7 @@ from .verify import Broadcast, verify_dominating
 __all__ = [
     "Candidate",
     "iter_candidates",
+    "multipacking",
     "radial_broadcast",
     "solve_optimal",
 ]
@@ -45,6 +54,10 @@ RESIDUAL_SINGLETON = "singleton"
 RESIDUAL_CONNECTED = "connected"
 RESIDUAL_SKIPPED = "skipped-disconnected"
 RESIDUAL_PRUNED = "pruned"
+
+# solve_optimal builds the outside-diameter tables for as many centers at a
+# time as keep the (centers, n, n) temporaries near this many cells
+_FAR_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,22 +84,125 @@ def _cost_floor(k: int, diam_lb: int) -> int:
     return k + diam_lb // 3 + 1
 
 
-def _evaluate_candidate(
+def multipacking(dm: DistanceMatrix) -> list[int]:
+    """A multipacking of a connected graph, built greedily: a vertex set M
+    with at most s members in every ball B(v, s), s >= 1.
+
+    Why |M| <= gamma_b(G): in a dominating broadcast f, every member m is
+    heard by some v with f(v) >= d(v, m), so the balls B(v, f(v)) cover M;
+    each holds at most f(v) members, so |M| <= sum f(v), the cost of f.
+    This is the LP dual of broadcast domination (Brewster, Mynhardt and
+    Teshima, 2013); on trees the largest multipacking meets gamma_b
+    (Mynhardt and Teshima, 2019).  B(v, rad(G)) is the whole graph for a
+    central v, so |M| <= rad(G), and the search stops once it gets there.
+    The one-vertex graph (gamma_b = 0 by convention) gets the empty set.
+
+    Greedy insertion runs in up to three orders and keeps the largest
+    result (the first of equal size): decreasing distance from a peripheral
+    vertex p; a shortest path from p to a vertex farthest from p, then the
+    rest as in the first order; decreasing eccentricity.  Ties go to the
+    lower index.
+    """
+    if dm.radius == 0:
+        return []
+    dist = dm.dist
+    p = int(np.argmax(dm.ecc))
+    away = np.argsort(-dist[p], kind="stable")
+    q = int(away[0])
+    spine = [p]
+    while spine[-1] != q:
+        cur = spine[-1]
+        spine.append(int(np.flatnonzero((dist[cur] == 1) & (dist[q] == dist[cur, q] - 1))[0]))
+    off_spine = np.ones(dm.n, dtype=bool)
+    off_spine[spine] = False
+    orders = (
+        away,
+        np.concatenate([np.array(spine, dtype=np.intp), away[off_spine[away]]]),
+        np.argsort(-dm.ecc, kind="stable"),
+    )
+    best: list[int] = []
+    for order in orders:
+        members = _greedy_packing(dist, order, dm.radius)
+        if len(members) > len(best):
+            best = members
+            if len(best) >= dm.radius:
+                break
+    return best
+
+
+def _greedy_packing(dist: np.ndarray, order: np.ndarray, limit: int) -> list[int]:
+    """Vertices taken in `order` whenever M stays a multipacking, up to
+    `limit` members.
+
+    Ball B(v, s) is full when it already holds s members, and m may join
+    iff it lies in no full ball: d(v, m) > tight[v], the largest full
+    radius about v (-1 if none).  B(v, s) holds s members iff the s-th
+    nearest member is at distance <= s, so tight[v] comes from v's sorted
+    member distances, O(n |M|).  Insertions only fill balls, so a vertex
+    rejected once stays rejected, and one O(n^2) check of every vertex
+    after each insertion finds the next member.
+    """
+    members: list[int] = []
+    tight = np.full(dist.shape[0], -1)
+    pos = 0
+    while len(members) < limit:
+        fits = (dist > tight[:, None]).all(axis=0)
+        hits = np.flatnonzero(fits[order[pos:]])
+        if hits.size == 0:
+            break
+        pos += int(hits[0])
+        members.append(int(order[pos]))
+        pos += 1
+        radii = np.arange(1, len(members) + 1)
+        nearest = np.sort(dist[:, members], axis=1)
+        tight = np.where(nearest <= radii, radii, -1).max(axis=1)
+    return members
+
+
+def _outside_diameters(dm: DistanceMatrix, lo: int, hi: int) -> np.ndarray:
+    """far[x - lo, k] = max d(a, b) over vertices a, b outside B(x, k), for
+    centers lo <= x < hi and 0 <= k < n; -1 once nothing is outside.
+
+    A pair stays outside exactly while k < min(d(x, a), d(x, b)), so
+    far[x - lo, k] is the largest pair maximum over levels m > k, where a
+    level's pair maximum is the largest d(a, b) with d(x, a) = m <=
+    d(x, b).  O(n^2) per center, against O(|outside|^2) per candidate for
+    a gather of the distances outside the ball.
+    """
+    rows = dm.dist[lo:hi]
+    # reach[x - lo, a] = max d(a, b) over b at least as far from x as a
+    reach = np.where(rows[:, None, :] >= rows[:, :, None], dm.dist, -1).max(axis=2)
+    level = np.full((hi - lo, dm.n + 1), -1, dtype=reach.dtype)
+    np.maximum.at(level, (np.arange(hi - lo)[:, None], rows), reach)
+    from_level = np.maximum.accumulate(level[:, ::-1], axis=1)[:, ::-1]
+    return from_level[:, 1:]
+
+
+def _checked(g: Graph, dm: DistanceMatrix, cand: Candidate) -> Candidate:
+    """cand, after checking that its broadcast dominates g."""
+    if not verify_dominating(g, dm, cand.broadcast).ok:
+        raise InternalError(f"peel candidate ({cand.peel_center}, {cand.peel_power}) does not dominate the graph")
+    return cand
+
+
+def _peel(
     g: Graph,
     dm: DistanceMatrix,
     x: int,
     k: int,
-    path_solver: Callable[[Graph], Broadcast],
     bound: Optional[int] = None,
-) -> Candidate:
-    """Peel ball (x, k) and solve what is left.
+    far: Optional[np.ndarray] = None,
+) -> Union[Candidate, tuple[Graph, list[int]]]:
+    """Peel ball (x, k): a finished candidate, or the connected residual H
+    (with its map back to g) that still needs a path solve.
 
-    With a bound (at most rad(G)), a residual H of two or more vertices is
-    pruned, with no path solve, once _cost_floor(k, D) >= bound for a lower
-    bound D on diam H.  D is taken twice: first as the largest G-distance
-    between two vertices outside the ball, before H is built; then, after
-    the connectivity check, as the eccentricity in H of the vertex a BFS
-    from H's first vertex reaches last (a double sweep).
+    With a bound (at most rad(G)) and the center's _outside_diameters
+    table, a residual H of two or more vertices is pruned, with no path
+    solve, once _cost_floor(k, D) >= bound for a lower bound D on diam H.
+    D is taken twice: first as far[k], the largest G-distance between two
+    vertices outside the ball, before H is built; then, after the
+    connectivity check, as the eccentricity in H of the vertex a BFS from
+    H's first vertex reaches last (a double sweep).
 
     Why this is sound: H is an induced subgraph, so its distances are never
     shorter than G-distances, and no eccentricity exceeds the diameter;
@@ -98,36 +214,43 @@ def _evaluate_candidate(
     candidate costs at least the bound, so it could not have strictly
     improved on it.
     """
-    dist_row = dm.dist[x]
-    outside = np.nonzero(dist_row > k)[0]
+    outside = np.flatnonzero(dm.dist[x] > k)
     if outside.size == 0:
-        cand = Candidate(x, k, RESIDUAL_EMPTY, k, Broadcast(((x, k),)))
-    elif outside.size == 1:
-        y = int(outside[0])
-        cand = Candidate(x, k, RESIDUAL_SINGLETON, k + 1, Broadcast.from_pairs([(x, k), (y, 1)]))
-    else:
-        if bound is not None and _cost_floor(k, int(dm.dist[np.ix_(outside, outside)].max())) >= bound:
-            return Candidate(x, k, RESIDUAL_PRUNED, None, None)
-        h, back = induced_subgraph(g, bits_of(int(z) for z in outside))
-        first = bfs_distances(h, 0)
-        far = max(first)
-        if far == h.n:  # the unreachable sentinel
-            return Candidate(x, k, RESIDUAL_SKIPPED, None, None)
-        if bound is not None and _cost_floor(k, max(bfs_distances(h, first.index(far)))) >= bound:
-            return Candidate(x, k, RESIDUAL_PRUNED, None, None)
-        sub = path_solver(h)
-        assignment = [(x, k)]
-        total = k
-        for v_h, p_h in sub.assignment:
-            orig = back[v_h]
-            power = min(p_h, int(dm.ecc[orig]))
-            assignment.append((orig, power))
-            total += power
-        cand = Candidate(x, k, RESIDUAL_CONNECTED, total, Broadcast.from_pairs(assignment))
-    # every evaluated candidate is a dominating broadcast of the input
-    if not verify_dominating(g, dm, cand.broadcast).ok:
-        raise InternalError(f"peel candidate ({x}, {k}) does not dominate the graph")
-    return cand
+        return _checked(g, dm, Candidate(x, k, RESIDUAL_EMPTY, k, Broadcast(((x, k),))))
+    if outside.size == 1:
+        pairs = [(x, k), (int(outside[0]), 1)]
+        return _checked(g, dm, Candidate(x, k, RESIDUAL_SINGLETON, k + 1, Broadcast.from_pairs(pairs)))
+    if bound is not None and _cost_floor(k, int(far[k])) >= bound:
+        return Candidate(x, k, RESIDUAL_PRUNED, None, None)
+    h, back = induced_subgraph(g, bits_of(outside.tolist()))
+    first = bfs_distances(h, 0)
+    last = max(first)
+    if last == h.n:  # the unreachable sentinel
+        return Candidate(x, k, RESIDUAL_SKIPPED, None, None)
+    if bound is not None and _cost_floor(k, max(bfs_distances(h, first.index(last)))) >= bound:
+        return Candidate(x, k, RESIDUAL_PRUNED, None, None)
+    return h, back
+
+
+def _solve_residual(
+    g: Graph,
+    dm: DistanceMatrix,
+    x: int,
+    k: int,
+    h: Graph,
+    back: list[int],
+    path_solver: Callable[[Graph], Broadcast],
+) -> Candidate:
+    """Ball (x, k) plus the path solution of its connected residual h, each
+    residual power capped at its eccentricity in g."""
+    assignment = [(x, k)]
+    total = k
+    for v_h, p_h in path_solver(h).assignment:
+        orig = back[v_h]
+        power = min(p_h, int(dm.ecc[orig]))
+        assignment.append((orig, power))
+        total += power
+    return _checked(g, dm, Candidate(x, k, RESIDUAL_CONNECTED, total, Broadcast.from_pairs(assignment)))
 
 
 def iter_candidates(
@@ -135,13 +258,15 @@ def iter_candidates(
     dm: Optional[DistanceMatrix] = None,
     path_solver: Callable[[Graph], Broadcast] = solve_path,
 ) -> Iterator[Candidate]:
-    """Every peel candidate (x, k), without the incumbent pruning the solver
-    applies; used to check feasibility of the full candidate family."""
+    """Every peel candidate (x, k), without any of the pruning the solver
+    applies; used to check feasibility of the full candidate family and as
+    the reference the pruned scan must reproduce."""
     if dm is None:
         dm = apsp(g)
     for x in range(g.n):
         for k in range(1, dm.radius + 1):
-            yield _evaluate_candidate(g, dm, x, k, path_solver)
+            step = _peel(g, dm, x, k)
+            yield step if isinstance(step, Candidate) else _solve_residual(g, dm, x, k, *step, path_solver)
 
 
 def solve_optimal(
@@ -163,8 +288,18 @@ def solve_optimal(
     from then on.  Candidates that cannot strictly improve are never
     solved.  Once k + 1 >= bound, no later radius at that center can
     improve: a nonempty residual adds at least 1, and an empty one needs
-    k >= ecc(x) >= rad(G) >= bound.  Below that, _evaluate_candidate
-    applies the residual-diameter bound.  threads is accepted for
+    k >= ecc(x) >= rad(G) >= bound.  Below that, _peel applies the
+    residual-diameter bound.
+
+    The scan also stops as soon as bound <= |M| for the greedy
+    multipacking M.  Every candidate is a dominating broadcast of g, so it
+    costs at least gamma_b(G) >= |M| >= bound and none can strictly
+    improve; the incumbent is then optimal and is the first candidate in
+    (x, k) order at that cost, as in the unpruned scan.  |M| is computed
+    lazily, at most once per call: the first time a candidate survives
+    both diameter prunes and is about to be path-solved.  Most small
+    inputs never get there, and on 7-12 vertex graphs building M costs
+    about as much as the whole solve.  threads is accepted for
     compatibility and has no effect.
     """
     if g.n == 1:
@@ -174,12 +309,26 @@ def solve_optimal(
         raise DisconnectedGraphError("solve_optimal requires a connected graph")
     best_bc = radial_broadcast(dm)
     bound = dm.radius
+    packing: Optional[int] = None  # |M|, once a path solve is due
+    block = max(1, _FAR_BLOCK_CELLS // (g.n * g.n))
     for x in range(g.n):
-        for k in range(1, dm.radius + 1):
-            if k + 1 >= bound:
-                break
-            cand = _evaluate_candidate(g, dm, x, k, path_solver, bound)
-            if cand.total_cost is not None and cand.total_cost < bound:
-                bound = cand.total_cost
-                best_bc = cand.broadcast
+        if bound <= 2:  # k = 1 already meets the k + 1 stop
+            break
+        if x % block == 0:
+            far = _outside_diameters(dm, x, min(x + block, g.n))
+        k = 1
+        while k + 1 < bound:
+            step = _peel(g, dm, x, k, bound, far[x % block])
+            if not isinstance(step, Candidate):
+                if packing is None:
+                    packing = len(multipacking(dm))
+                if bound <= packing:
+                    return best_bc
+                step = _solve_residual(g, dm, x, k, *step, path_solver)
+            if step.total_cost is not None and step.total_cost < bound:
+                bound = step.total_cost
+                best_bc = step.broadcast
+                if packing is not None and bound <= packing:
+                    return best_bc
+            k += 1
     return best_bc

@@ -1,5 +1,6 @@
-"""Shared helpers: exhaustive small-graph enumeration, seeded randoms and a
-hypothesis strategy for connected graphs."""
+"""Shared helpers: exhaustive small-graph enumeration, seeded randoms, a
+hypothesis strategy for connected graphs and a ball-count multipacking
+check."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 from broadcast_domination.generators import SplitMix64, random_tree
-from broadcast_domination.graph import Graph, is_connected
+from broadcast_domination.graph import Graph, bits_of, is_connected
+from broadcast_domination.verify import ball_mask
 
 
 def connected_graphs(n):
@@ -35,6 +37,17 @@ def graphs(draw, max_n=16):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return Graph.from_edges(n, sorted(edges))
+
+
+def is_multipacking(dm, members) -> bool:
+    """At most s members in every ball B(v, s), s >= 1, counted on ball
+    masks: the definition, independent of the solver's own bookkeeping."""
+    chosen = bits_of(members)
+    if len(set(members)) != len(members) or chosen >= 1 << dm.n:
+        return False
+    return all(
+        bin(ball_mask(dm, v, s) & chosen).count("1") <= s for v in range(dm.n) for s in range(1, max(dm.n, 2))
+    )
 
 
 def random_connected_graph(n: int, seed: int) -> Graph:

@@ -26,6 +26,7 @@ from broadcast_domination.peel import (
     RESIDUAL_SKIPPED,
     _cost_floor,
     iter_candidates,
+    multipacking,
     radial_broadcast,
     solve_optimal,
 )
@@ -38,7 +39,7 @@ from broadcast_domination.verify import (
     verify_path_shaped,
 )
 
-from conftest import connected_graphs, random_suite
+from conftest import connected_graphs, is_multipacking, random_suite
 
 
 def _passed(label: str, detail: str) -> None:
@@ -118,6 +119,8 @@ def exhaustive_sweep():
         "candidate_infeasible": [],
         "pruned_differs": [],
         "floor_above_cost": [],
+        "packing_invalid": [],
+        "packing_above_gamma": [],
         "singleton_peel": [],
         "no_efficient_optimum": [],
         "no_path_or_cycle_witness": [],
@@ -132,6 +135,12 @@ def exhaustive_sweep():
             truth_b = oracle_gamma_b(g)
             if opt.cost != truth_b.cost:
                 res["gamma_b_mismatch"].append(tag + (opt.cost, truth_b.cost))
+
+            packing = multipacking(dm)
+            if not is_multipacking(dm, packing):
+                res["packing_invalid"].append(tag + (tuple(packing),))
+            if len(packing) > truth_b.cost:
+                res["packing_above_gamma"].append(tag + (tuple(packing), truth_b.cost))
 
             sp = solve_path(g)
             truth_p = oracle_gamma_path(g)
@@ -247,6 +256,25 @@ def test_diameter_bound_sound(exhaustive_sweep):
     # could matter (cost <= rad(G)); diam H is the exact residual diameter
     assert exhaustive_sweep["floor_above_cost"] == []
     _passed("diameter bound", f"at most the candidate cost on all {exhaustive_sweep['graphs']} graphs n<=6")
+
+
+def test_multipacking_bound(exhaustive_sweep, random_sweep):
+    # every greedy packing is a multipacking by ball counts, so its size is
+    # a lower bound on gamma_b; the gap to gamma_b is reported, not bounded
+    assert exhaustive_sweep["packing_invalid"] == []
+    assert exhaustive_sweep["packing_above_gamma"] == []
+    short = 0
+    for g, _, gamma_b, *_ in random_sweep:
+        dm = apsp(g)
+        packing = multipacking(dm)
+        assert is_multipacking(dm, packing), (g.n, g.edges())
+        assert len(packing) <= gamma_b, (g.n, g.edges())
+        short += len(packing) < gamma_b
+    _passed(
+        "multipacking bound",
+        f"valid and at most gamma_b on {exhaustive_sweep['graphs']} graphs n<=6 and {len(random_sweep)} random"
+        f" 7<=n<=12; below gamma_b on {short} of the random graphs",
+    )
 
 
 def test_invariant_suite(exhaustive_sweep, small_random_graphs):

@@ -2,26 +2,33 @@ import multiprocessing.process
 import os
 import subprocess
 import sys
+import textwrap
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broadcast_domination.generators import cycle_graph
+from broadcast_domination import peel
+from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree, sparse_random
 from broadcast_domination.graph import Graph, apsp
 from broadcast_domination.oracle import oracle_gamma_b
+from broadcast_domination.pathdag import solve_path
 from broadcast_domination.peel import (
     RESIDUAL_CONNECTED,
     RESIDUAL_EMPTY,
     RESIDUAL_SINGLETON,
     RESIDUAL_SKIPPED,
+    _outside_diameters,
     iter_candidates,
+    multipacking,
     radial_broadcast,
     solve_optimal,
 )
 from broadcast_domination.verify import Broadcast, verify_dominating, verify_efficient, verify_path_shaped
 
-from conftest import connected_graphs, graphs, random_connected_graph
+from conftest import connected_graphs, graphs, is_multipacking, random_connected_graph
 
 
 def path(n):
@@ -34,6 +41,20 @@ def cycle(n):
 
 def star(leaves):
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def grid(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def counting_solver(calls):
+    def solver(h):
+        calls.append(h.n)
+        return solve_path(h)
+
+    return solver
 
 
 class TestVerifyPredicates:
@@ -147,8 +168,8 @@ class TestSolveOptimal:
             assert solve_optimal(g, threads=4) == want
 
     def test_tie_break_pinned(self):
-        # C13 has many optima of cost 5; the earliest (x, k) candidate wins
-        # in both the sequential and the pool merge
+        # C13 has many optima of cost 5; the earliest (x, k) candidate wins,
+        # with threads accepted and ignored
         want = ((0, 1), (2, 1), (5, 1), (8, 1), (11, 1))
         g = cycle_graph(13)
         assert solve_optimal(g, threads=1).assignment == want
@@ -206,3 +227,104 @@ class TestCandidates:
         dm = apsp(path(4))
         bc = radial_broadcast(dm)
         assert bc.assignment == ((1, 2),)
+
+
+class TestMultipacking:
+    def test_paths_reach_gamma(self):
+        for n in range(1, 31):
+            dm = apsp(path_graph(n))
+            members = multipacking(dm)
+            assert is_multipacking(dm, members)
+            assert len(members) == (-(-n // 3) if n > 1 else 0)
+
+    def test_ball_count_checker_rejects_a_full_radius_two_ball(self):
+        # spider with three legs of length 2: the leaves are pairwise at
+        # distance 4, so no radius-1 ball holds two of them, but the
+        # radius-2 ball about the hub holds all three
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        dm = apsp(g)
+        assert not is_multipacking(dm, [2, 4, 6])
+        members = multipacking(dm)
+        assert is_multipacking(dm, members) and len(members) == 2 == oracle_gamma_b(g).cost
+
+    def test_radius_reached_on_radial_optima(self):
+        # optimum = rad(G), met by the greedy packing, so the scan stops at
+        # once; grid 5x20 made 177 path solves with the diameter bound alone
+        for g in (grid(5, 20), grid(8, 8), random_tree(100, 3), sparse_random(100, 3), sparse_random(50, 4)):
+            dm = apsp(g)
+            members = multipacking(dm)
+            assert len(members) == dm.radius and is_multipacking(dm, members)
+
+    def test_outside_diameters_match_gather(self, small_random_graphs):
+        for g in small_random_graphs[:30] + [cycle_graph(17), barbell_graph(16)]:
+            dm = apsp(g)
+            far = _outside_diameters(dm, 0, g.n)
+            for x in range(g.n):
+                for k in range(g.n):
+                    outside = np.flatnonzero(dm.dist[x] > k)
+                    want = int(dm.dist[np.ix_(outside, outside)].max()) if outside.size else -1
+                    assert far[x, k] == want, (x, k)
+            half = _outside_diameters(dm, g.n // 2, g.n)
+            assert (half == far[g.n // 2 :]).all()
+
+    def test_path_solve_counts_pinned(self):
+        # path solves per instance, counted through path_solver; with the
+        # diameter bound alone they were 2, 1, 1, 11, 177, 58, 72 and 1
+        cases = (
+            (path_graph(30), 10, 2),
+            (cycle_graph(30), 10, 1),
+            (barbell_graph(30), 5, 1),
+            (random_tree(40, 1), 9, 0),
+            (grid(5, 20), 12, 0),
+            (random_tree(100, 3), 16, 0),
+            (sparse_random(100, 3), 6, 0),
+            (cycle_graph(150), 50, 1),
+        )
+        for g, cost, solves in cases:
+            calls = []
+            bc = solve_optimal(g, path_solver=counting_solver(calls))
+            assert (bc.cost, len(calls)) == (cost, solves)
+            assert verify_dominating(g, apsp(g), bc).ok
+
+    def test_bound_computed_lazily_at_most_once(self, monkeypatch, small_random_graphs):
+        calls = []
+
+        def counted(dm):
+            calls.append(dm.n)
+            return multipacking(dm)
+
+        monkeypatch.setattr(peel, "multipacking", counted)
+        # the diameter bound prunes every candidate: no path solve is due,
+        # so the packing is never built
+        for g in (star(5), path_graph(7), random_tree(20, 3)):
+            solves = []
+            solve_optimal(g, path_solver=counting_solver(solves))
+            assert calls == [] and solves == []
+        built = 0
+        for g in small_random_graphs + [path_graph(30), cycle_graph(30), grid(5, 20)]:
+            del calls[:]
+            solves = []
+            solve_optimal(g, path_solver=counting_solver(solves))
+            assert len(calls) <= 1
+            if solves:
+                assert len(calls) == 1  # built before the first path solve
+            built += len(calls)
+        assert calls == [100]  # grid 5x20: built once, then the scan stops
+        assert built > 3
+
+    def test_numpy_ma_not_imported(self):
+        # np.isin and np.setdiff1d import numpy.ma, about 1 MB of resident
+        # memory; the peel loop uses boolean masks instead
+        code = textwrap.dedent(
+            """
+            import sys
+            from broadcast_domination import solve_optimal
+            from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree
+            for g in (path_graph(30), cycle_graph(30), barbell_graph(30), random_tree(40, 1)):
+                solve_optimal(g)
+            print("numpy.ma" in sys.modules)
+            """
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=os.environ)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "False\n"
