@@ -107,7 +107,7 @@ def multipacking(dm: DistanceMatrix) -> list[int]:
         return []
     dist = dm.dist
     p = int(np.argmax(dm.ecc))
-    away = np.argsort(-dist[p], kind="stable")
+    away = _by_decreasing(dist[p])
     q = int(away[0])
     spine = [p]
     while spine[-1] != q:
@@ -118,7 +118,7 @@ def multipacking(dm: DistanceMatrix) -> list[int]:
     orders = (
         away,
         np.concatenate([np.array(spine, dtype=np.intp), away[off_spine[away]]]),
-        np.argsort(-dm.ecc, kind="stable"),
+        _by_decreasing(dm.ecc),
     )
     best: list[int] = []
     for order in orders:
@@ -134,16 +134,17 @@ def _greedy_packing(dist: np.ndarray, order: np.ndarray, limit: int) -> list[int
     """Vertices taken in `order` whenever M stays a multipacking, up to
     `limit` members.
 
-    Ball B(v, s) is full when it already holds s members, and m may join
-    iff it lies in no full ball: d(v, m) > tight[v], the largest full
-    radius about v (-1 if none).  B(v, s) holds s members iff the s-th
-    nearest member is at distance <= s, so tight[v] comes from v's sorted
-    member distances, O(n |M|).  Insertions only fill balls, so a vertex
-    rejected once stays rejected, and one O(n^2) check of every vertex
-    after each insertion finds the next member.
+    held[v, s - 1] = |M & B(v, s)|.  Ball B(v, s) is full when it holds s
+    members, which needs s <= |M| < limit, and m may join iff it lies in
+    no full ball: d(v, m) > tight[v], the largest full radius about v (-1
+    if none).  Insertions only fill balls, so a vertex rejected once stays
+    rejected, and one O(n^2) check of every vertex after each insertion
+    finds the next member.
     """
-    members: list[int] = []
+    radii = np.arange(1, limit + 1)
+    held = np.zeros((dist.shape[0], limit), dtype=np.int64)
     tight = np.full(dist.shape[0], -1)
+    members: list[int] = []
     pos = 0
     while len(members) < limit:
         fits = (dist > tight[:, None]).all(axis=0)
@@ -151,12 +152,20 @@ def _greedy_packing(dist: np.ndarray, order: np.ndarray, limit: int) -> list[int
         if hits.size == 0:
             break
         pos += int(hits[0])
-        members.append(int(order[pos]))
+        m = int(order[pos])
+        members.append(m)
         pos += 1
-        radii = np.arange(1, len(members) + 1)
-        nearest = np.sort(dist[:, members], axis=1)
-        tight = np.where(nearest <= radii, radii, -1).max(axis=1)
+        held += dist[:, m, None] <= radii
+        tight = np.where(held >= radii, radii, -1).max(axis=1)
     return members
+
+
+def _by_decreasing(values: np.ndarray) -> np.ndarray:
+    """Indices by decreasing value, ties by lower index.  The keys are
+    int64 because the stable argsort of 16-bit keys is a radix sort that
+    nothing else in a solve runs, and loading it costs about 128 KB of
+    resident memory."""
+    return np.argsort(-values.astype(np.int64), kind="stable")
 
 
 def _outside_diameters(dm: DistanceMatrix, lo: int, hi: int) -> np.ndarray:
