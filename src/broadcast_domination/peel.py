@@ -321,12 +321,13 @@ def solve_optimal(
     packing: Optional[int] = None  # |M|, once a path solve is due
     block = max(1, _FAR_BLOCK_CELLS // (g.n * g.n))
     for x in range(g.n):
-        if bound <= 2:  # k = 1 already meets the k + 1 stop
+        if bound <= 2:  # k = 1 already meets the k + 1 stop below
             break
         if x % block == 0:
             far = _outside_diameters(dm, x, min(x + block, g.n))
-        k = 1
-        while k + 1 < bound:
+        for k in range(1, dm.radius + 1):
+            if k + 1 >= bound:
+                break
             step = _peel(g, dm, x, k, bound, far[x % block])
             if not isinstance(step, Candidate):
                 if packing is None:
@@ -339,5 +340,4 @@ def solve_optimal(
                 best_bc = step.broadcast
                 if packing is not None and bound <= packing:
                     return best_bc
-            k += 1
     return best_bc

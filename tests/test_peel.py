@@ -5,7 +5,6 @@ import sys
 import textwrap
 
 import numpy as np
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
