@@ -132,11 +132,17 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+_CHECKS = ("dominating", "efficient", "path")
+
+
 def cmd_verify(args) -> int:
+    checks = args.check.split(",") if args.check else _CHECKS
+    for name in checks:
+        if name not in _CHECKS:
+            raise ValueError(f"unknown check {name!r}; known: {', '.join(_CHECKS)}")
     g = _load_graph(args)
     bc = parse_broadcast(_read_text(args.broadcast))
     verdict = full_verdict(g, apsp(g), bc)
-    checks = args.check.split(",") if args.check else ["dominating", "efficient", "path"]
     lines = [f"cost:{bc.cost}"]
     if "dominating" in checks:
         lines.append(f"dominating:{str(verdict.dominating).lower()}")
@@ -218,7 +224,7 @@ def build_parser() -> _Parser:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--extra", action="append", help="family parameter key=value")
+    p.add_argument("--extra", action="append", help="family parameter key=value: bell (barbell), p (sparse-random)")
     p.add_argument("--out", default=None, help="output file; default stdout")
     p.set_defaults(fn=cmd_gen)
 

@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 FAMILIES = ("path", "cycle", "random-tree", "sparse-random", "barbell", "star", "wheel")
+# the extra key=value parameters each family takes
+_PARAMETERS = {"barbell": ("bell",), "sparse-random": ("p",)}
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -174,6 +176,12 @@ def generate(spec: GeneratorSpec) -> Graph:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     check_vertex_count(n)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    unknown = sorted(set(spec.extra) - set(_PARAMETERS.get(family, ())))
+    if unknown:
+        takes = ", ".join(_PARAMETERS.get(family, ())) or "none"
+        raise ValueError(f"family {family!r} has no parameter {unknown[0]!r}; it takes: {takes}")
     if family == "path":
         g = path_graph(n)
     elif family == "cycle":
@@ -187,11 +195,9 @@ def generate(spec: GeneratorSpec) -> Graph:
         g = barbell_graph(n, bell=int(bell) if bell is not None else None)
     elif family == "random-tree":
         g = random_tree(n, spec.seed)
-    elif family == "sparse-random":
+    else:  # sparse-random
         p = spec.extra.get("p")
         g = sparse_random(n, spec.seed, p=float(p) if p is not None else None)
-    else:
-        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     if not is_connected(g):
         raise InternalError(f"generator {family!r} produced a disconnected graph")
     return g

@@ -35,7 +35,8 @@ __all__ = [
     "dag_to_dot",
 ]
 
-_INF = 1 << 40
+_INF = 1 << 30  # above every chain cost: at most n * rho < 2**30, as rho <= n/2
+_NO_PRED = (1 << 32) - 1  # low half of a packed DP value: no predecessor
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,13 @@ class StateDag:
     """Dense state arrays plus the arc list.
 
     State id = (v * rho + (p-1)) * 3 + left_label; ids where exists is False
-    are unused slots.  Arcs are stored as flat parallel src/dst arrays.
+    are unused slots, and a state's power (its weight) is id // 3 % rho + 1.
+    Arcs are stored as flat parallel src/dst arrays.
     """
 
     n: int
     rho: int
     exists: np.ndarray  # bool, dense
-    weight: np.ndarray  # int32, dense
     left_size: np.ndarray  # int32, dense
     is_source: np.ndarray  # bool, dense (left label 0)
     is_sink: np.ndarray  # bool, dense (right label 0)
@@ -106,15 +107,13 @@ def _dense_tables(rt: ResidualTable):
     left_size = np.zeros((n, rho, 3), dtype=np.int32)
     left_size[:, :, 1] = rt.comp_size[:, 1:, 1]
     left_size[:, :, 2] = rt.comp_size[:, 1:, 2]
-    weight = np.empty((n, rho, 3), dtype=np.int32)
-    weight[:] = np.arange(1, rho + 1, dtype=np.int32)[None, :, None]
     is_source = np.zeros((n, rho, 3), dtype=bool)
     is_source[:, :, 0] = exists[:, :, 0]
     is_sink = np.zeros((n, rho, 3), dtype=bool)
     is_sink[:, :, 0] = k == 0
     is_sink[:, :, 1] = k == 1
     flat = lambda a: a.reshape(-1)
-    return (flat(exists), flat(weight), flat(left_size), flat(is_source), flat(is_sink))
+    return (flat(exists), flat(left_size), flat(is_source), flat(is_sink))
 
 
 def enumerate_states(rt: ResidualTable) -> list[State]:
@@ -176,7 +175,7 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
     """
     n = g.n
     rho = rt.rho
-    exists, weight, left_size, is_source, is_sink = _dense_tables(rt)
+    exists, left_size, is_source, is_sink = _dense_tables(rt)
     kappa = rt.kappa
     comp_label = rt.comp_label
     reqarr = req.req
@@ -222,7 +221,6 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
         n=n,
         rho=rho,
         exists=exists,
-        weight=weight,
         left_size=left_size,
         is_source=is_source,
         is_sink=is_sink,
@@ -239,48 +237,44 @@ def _solve_dag(dag: StateDag, source_mask: np.ndarray | None = None):
     toward the smaller (center, power, left) triple, which is the state id
     order.
 
-    The chain is read back from the DAG's own arcs: an arc is tight when
-    d[src] + weight[dst] == d[dst], and every state's predecessor is its
-    smallest tight source id.  That id is the lexicographic tie-break
-    because, for a fixed state and predecessor center, distance and labels
-    force the predecessor's power and orientation, so each predecessor
-    center owns exactly one candidate id, and ids ascend with the center.
+    Each state keeps one int64, cost << 32 | predecessor id, and each arc
+    offers its target (cost of the source + power of the target) << 32 |
+    source id.  Arcs strictly grow the left size, so relaxing them grouped
+    by the source's left size finalizes every source before its out-arcs
+    are read, and a state's minimum is its cheapest cost together with the
+    smallest source id among its tight in-arcs.  That id is the
+    lexicographic tie-break because, for a fixed state and predecessor
+    center, distance and labels force the predecessor's power and
+    orientation, so each predecessor center owns exactly one candidate id,
+    and ids ascend with the center.  Both halves fit: ids are below
+    3 * n * rho < 2**31 and costs below _INF = 2**30, because
+    n < MAX_VERTICES and rho <= n / 2.
     """
     sources = dag.is_source if source_mask is None else dag.is_source & source_mask
-    d = np.full(dag.exists.size, _INF, dtype=np.int64)
-    w64 = dag.weight.astype(np.int64)
-    d[sources] = w64[sources]
-    if dag.arc_src.size:
-        key = dag.left_size[dag.arc_src]
-        order = np.argsort(key, kind="stable")
-        a_src = dag.arc_src[order]
-        a_dst = dag.arc_dst[order]
-        key = key[order]
-        starts = np.nonzero(np.r_[True, key[1:] != key[:-1]])[0]
-        bounds = np.r_[starts, key.size]
-        for i in range(starts.size):
-            lo, hi = bounds[i], bounds[i + 1]
-            np.minimum.at(d, a_dst[lo:hi], d[a_src[lo:hi]] + w64[a_dst[lo:hi]])
-        del key, order, a_src, a_dst, starts, bounds
-    sink_ids = np.nonzero(dag.is_sink & (d < _INF))[0]
+    power = np.arange(dag.exists.size) // 3 % dag.rho + 1
+    best = np.full(dag.exists.size, _INF << 32 | _NO_PRED, dtype=np.int64)
+    best[sources] = power[sources] << 32 | _NO_PRED
+    key = dag.left_size[dag.arc_src]
+    order = np.argsort(key, kind="stable")
+    lo = 0
+    for hi in np.cumsum(np.bincount(key)).tolist():
+        if hi > lo:
+            group = order[lo:hi]
+            src, dst = dag.arc_src[group], dag.arc_dst[group]
+            np.minimum.at(best, dst, ((best[src] >> 32) + power[dst]) << 32 | src)
+        lo = hi
+    cost = best >> 32
+    sink_ids = np.flatnonzero(dag.is_sink & (cost < _INF))
     if sink_ids.size == 0:
         return None
-    best = int(sink_ids[np.argmin(d[sink_ids])])  # first argmin = smallest id
-    cost = int(d[best])
-
-    pred = np.full(d.size, d.size, dtype=np.int64)  # d.size = no tight predecessor
-    reach = np.take(d, dag.arc_src)
-    reach += np.take(dag.weight, dag.arc_dst)
-    tight = reach == np.take(d, dag.arc_dst)
-    del reach
-    np.minimum.at(pred, dag.arc_dst[tight], dag.arc_src[tight])
-    chain = [best]
-    while pred[chain[-1]] < d.size:
-        chain.append(int(pred[chain[-1]]))
+    end = int(sink_ids[np.argmin(cost[sink_ids])])  # first argmin = smallest id
+    chain = [end]
+    while best[chain[-1]] & _NO_PRED != _NO_PRED:
+        chain.append(int(best[chain[-1]] & _NO_PRED))
     if not sources[chain[-1]]:
         raise InternalError("DP value has no consistent predecessor")
     chain.reverse()
-    return cost, chain
+    return int(cost[end]), chain
 
 
 def _broadcast_from_chain(dag: StateDag, chain: list[int]) -> Broadcast:

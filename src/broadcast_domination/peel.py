@@ -97,32 +97,16 @@ def multipacking(dm: DistanceMatrix) -> list[int]:
     central v, so |M| <= rad(G), and the search stops once it gets there.
     The one-vertex graph (gamma_b = 0 by convention) gets the empty set.
 
-    Greedy insertion runs in up to three orders and keeps the largest
-    result (the first of equal size): decreasing distance from a peripheral
-    vertex p; a shortest path from p to a vertex farthest from p, then the
-    rest as in the first order; decreasing eccentricity.  Ties go to the
-    lower index.
+    Greedy insertion runs in up to two orders and keeps the larger result
+    (the first if equal): decreasing distance from a peripheral vertex;
+    decreasing eccentricity.  Ties go to the lower index.
     """
     if dm.radius == 0:
         return []
-    dist = dm.dist
-    p = int(np.argmax(dm.ecc))
-    away = _by_decreasing(dist[p])
-    q = int(away[0])
-    spine = [p]
-    while spine[-1] != q:
-        cur = spine[-1]
-        spine.append(int(np.flatnonzero((dist[cur] == 1) & (dist[q] == dist[cur, q] - 1))[0]))
-    off_spine = np.ones(dm.n, dtype=bool)
-    off_spine[spine] = False
-    orders = (
-        away,
-        np.concatenate([np.array(spine, dtype=np.intp), away[off_spine[away]]]),
-        _by_decreasing(dm.ecc),
-    )
+    orders = (_by_decreasing(dm.dist[int(np.argmax(dm.ecc))]), _by_decreasing(dm.ecc))
     best: list[int] = []
     for order in orders:
-        members = _greedy_packing(dist, order, dm.radius)
+        members = _greedy_packing(dm.dist, order, dm.radius)
         if len(members) > len(best):
             best = members
             if len(best) >= dm.radius:

@@ -100,6 +100,13 @@ class TestVerify:
         out = run_cli(["verify", "--broadcast", str(bfile), "--check", "dominating"], P4).stdout
         assert "dominating" in out and "efficient" not in out
 
+    def test_unknown_check_rejected(self, tmp_path):
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("1 2\n")
+        res = run_cli(["verify", "--broadcast", str(bfile), "--check", "dominatin,efficent"], P4)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error: unknown check 'dominatin'") and len(res.stderr.splitlines()) == 1
+
 
 class TestGen:
     def test_deterministic_bytes(self):
@@ -111,6 +118,12 @@ class TestGen:
         res = run_cli(["gen", "--family", "sparse-random", "--n", "8", "--seed", "1", "--extra", "p=1.0"])
         assert res.returncode == 0
         assert len(res.stdout.splitlines()) == 1 + 28  # complete graph
+
+    def test_unknown_extra_rejected(self):
+        for family, item in (("barbell", "bel=4"), ("path", "p=0.5"), ("sparse-random", "bell=3")):
+            res = run_cli(["gen", "--family", family, "--n", "9", "--extra", item])
+            assert res.returncode == 1 and res.stdout == "", (family, item)
+            assert res.stderr.startswith("error: family") and len(res.stderr.splitlines()) == 1
 
     def test_bad_family(self):
         assert run_cli(["gen", "--family", "mesh", "--n", "5"]).returncode == 1

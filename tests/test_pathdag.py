@@ -1,6 +1,7 @@
 import os
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from broadcast_domination.anchored import solve_path_anchored
@@ -9,6 +10,7 @@ from broadcast_domination.graph import Graph, apsp, bits_of, is_connected, iter_
 from broadcast_domination.metric import requirement_table, residual_decompositions
 from broadcast_domination.oracle import oracle_gamma_path
 from broadcast_domination.pathdag import (
+    _solve_dag,
     arc_test,
     build_dag,
     dag_to_dot,
@@ -37,6 +39,30 @@ def tables(g):
     rt = residual_decompositions(g, dm)
     rq = requirement_table(g, dm, rt)
     return dm, rt, rq
+
+
+def source_mask_containing(dm, rho, u):
+    """Anchored sources: radial-side states whose ball contains u."""
+    mask = np.zeros((dm.n, rho, 3), dtype=bool)
+    mask[:, :, 0] = dm.dist[:, u][:, None] <= np.arange(1, rho + 1)[None, :]
+    return mask.reshape(-1)
+
+
+def tight_predecessors(dag, sources):
+    """DP values and predecessors by the two-pass rule: relax every arc in
+    order of its source's left size, then give each state the smallest
+    source of an arc with d[src] + power[dst] == d[dst]."""
+    power = lambda sid: dag.decode(sid)[1]
+    d = {sid: power(sid) for sid in np.flatnonzero(sources).tolist()}
+    arcs = sorted(zip(dag.arc_src.tolist(), dag.arc_dst.tolist()), key=lambda a: dag.left_size[a[0]])
+    for a, b in arcs:
+        if a in d:
+            d[b] = min(d.get(b, d[a] + power(b)), d[a] + power(b))
+    pred = {}
+    for a, b in arcs:
+        if a in d and d[a] + power(b) == d[b]:
+            pred[b] = min(pred.get(b, a), a)
+    return d, pred
 
 
 def find_state(states, center, power, left, right):
@@ -200,6 +226,26 @@ class TestSolvePath:
         # exact assignments among many tied optima: the chain read-back
         # must keep the smallest-state-id predecessor
         assert solver(g).assignment == want
+
+    def test_predecessor_is_smallest_tight_source(self, small_random_graphs):
+        larger = [path_graph(40), cycle_graph(31), barbell_graph(30)]
+        cases = [(g, None) for g in small_random_graphs + larger]
+        cases += [(g, u) for g in larger + small_random_graphs[:6] for u in (0, g.n // 2)]
+        for g, anchor in cases:
+            dm, rt, rq = tables(g)
+            dag = build_dag(g, dm, rt, rq)
+            mask = None if anchor is None else source_mask_containing(dm, rt.rho, anchor)
+            sources = dag.is_source if mask is None else dag.is_source & mask
+            d, pred = tight_predecessors(dag, sources)
+            cost, chain = _solve_dag(dag, mask)
+            sinks = [sid for sid in np.flatnonzero(dag.is_sink).tolist() if sid in d]
+            assert cost == min(d[sid] for sid in sinks)
+            assert chain[-1] == min(sid for sid in sinks if d[sid] == cost)
+            assert sources[chain[0]]
+            arcs = set(zip(dag.arc_src.tolist(), dag.arc_dst.tolist()))
+            for a, b in zip(chain, chain[1:]):
+                assert (a, b) in arcs
+                assert a == pred[b]
 
     def test_soundness_and_radius_bound(self, small_random_graphs):
         for g in small_random_graphs:
