@@ -176,12 +176,10 @@ def generate(spec: GeneratorSpec) -> Graph:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     check_vertex_count(n)
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    unknown = sorted(set(spec.extra) - set(_PARAMETERS.get(family, ())))
+    takes = _PARAMETERS.get(family, ())
+    unknown = sorted(set(spec.extra) - set(takes))
     if unknown:
-        takes = ", ".join(_PARAMETERS.get(family, ())) or "none"
-        raise ValueError(f"family {family!r} has no parameter {unknown[0]!r}; it takes: {takes}")
+        raise ValueError(f"family {family!r} has no parameter {unknown[0]!r}; it takes: {', '.join(takes) or 'none'}")
     if family == "path":
         g = path_graph(n)
     elif family == "cycle":
@@ -195,9 +193,11 @@ def generate(spec: GeneratorSpec) -> Graph:
         g = barbell_graph(n, bell=int(bell) if bell is not None else None)
     elif family == "random-tree":
         g = random_tree(n, spec.seed)
-    else:  # sparse-random
+    elif family == "sparse-random":
         p = spec.extra.get("p")
         g = sparse_random(n, spec.seed, p=float(p) if p is not None else None)
+    else:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     if not is_connected(g):
         raise InternalError(f"generator {family!r} produced a disconnected graph")
     return g
