@@ -237,8 +237,8 @@ def _solve_dag(dag: StateDag, source_mask: np.ndarray | None = None):
     toward the smaller (center, power, left) triple, which is the state id
     order.
 
-    Each state keeps one int64, cost << 32 | predecessor id, and each arc
-    offers its target (cost of the source + power of the target) << 32 |
+    Each state keeps one int64, (cost << 32) + predecessor id, and each arc
+    offers its target ((cost of the source + power of the target) << 32) +
     source id.  Arcs strictly grow the left size, so relaxing them grouped
     by the source's left size finalizes every source before its out-arcs
     are read, and a state's minimum is its cheapest cost together with the
@@ -248,12 +248,14 @@ def _solve_dag(dag: StateDag, source_mask: np.ndarray | None = None):
     orientation, so each predecessor center owns exactly one candidate id,
     and ids ascend with the center.  Both halves fit: ids are below
     3 * n * rho < 2**31 and costs below _INF = 2**30, because
-    n < MAX_VERTICES and rho <= n / 2.
+    n < MAX_VERTICES and rho <= n / 2.  The id is added, not or-ed in (the
+    same on a zero low half), because NumPy's int64 bitwise_or loop is code
+    no other solve step runs, and loading it costs about 128 KB resident.
     """
     sources = dag.is_source if source_mask is None else dag.is_source & source_mask
     power = np.arange(dag.exists.size) // 3 % dag.rho + 1
     best = np.full(dag.exists.size, _INF << 32 | _NO_PRED, dtype=np.int64)
-    best[sources] = power[sources] << 32 | _NO_PRED
+    best[sources] = (power[sources] << 32) + _NO_PRED
     key = dag.left_size[dag.arc_src]
     order = np.argsort(key, kind="stable")
     lo = 0
@@ -261,7 +263,7 @@ def _solve_dag(dag: StateDag, source_mask: np.ndarray | None = None):
         if hi > lo:
             group = order[lo:hi]
             src, dst = dag.arc_src[group], dag.arc_dst[group]
-            np.minimum.at(best, dst, ((best[src] >> 32) + power[dst]) << 32 | src)
+            np.minimum.at(best, dst, (((best[src] >> 32) + power[dst]) << 32) + src)
         lo = hi
     cost = best >> 32
     sink_ids = np.flatnonzero(dag.is_sink & (cost < _INF))
@@ -269,8 +271,8 @@ def _solve_dag(dag: StateDag, source_mask: np.ndarray | None = None):
         return None
     end = int(sink_ids[np.argmin(cost[sink_ids])])  # first argmin = smallest id
     chain = [end]
-    while best[chain[-1]] & _NO_PRED != _NO_PRED:
-        chain.append(int(best[chain[-1]] & _NO_PRED))
+    while (pred := int(best[chain[-1]]) & _NO_PRED) != _NO_PRED:
+        chain.append(pred)
     if not sources[chain[-1]]:
         raise InternalError("DP value has no consistent predecessor")
     chain.reverse()
