@@ -57,7 +57,8 @@ def tight_predecessors(dag, sources):
     arcs = sorted(zip(dag.arc_src.tolist(), dag.arc_dst.tolist()), key=lambda a: dag.left_size[a[0]])
     for a, b in arcs:
         if a in d:
-            d[b] = min(d.get(b, d[a] + power(b)), d[a] + power(b))
+            reach = d[a] + power(b)
+            d[b] = min(d.get(b, reach), reach)
     pred = {}
     for a, b in arcs:
         if a in d and d[a] + power(b) == d[b]:
