@@ -251,7 +251,8 @@ class DisjointSet:
     for O(1) finds.  `parent[x]` always points directly at the root of x, or
     is -1 while x is inactive, so the list itself is a complete component
     labeling at any moment: `residual_decompositions` copies it whole into
-    its table after each radius step instead of calling find per vertex.
+    its table after each radius step that leaves two components, instead
+    of calling find per vertex.
     """
 
     def __init__(self, n: int):
@@ -274,9 +275,22 @@ class DisjointSet:
             raise ValueError(f"vertex {x} is not active")
         return r
 
+    def add(self, x: int, neighbors: Iterable[int]) -> int:
+        """Activate x and union it with every active neighbor; returns the
+        number of classes that merged into x's."""
+        self.activate(x)
+        parent = self.parent
+        merged = 0
+        for y in neighbors:
+            if parent[y] >= 0 and self._link(parent[x], parent[y]):
+                merged += 1
+        return merged
+
     def union(self, x: int, y: int) -> bool:
         """Merge the classes of x and y; True iff they were distinct."""
-        rx, ry = self.find(x), self.find(y)
+        return self._link(self.find(x), self.find(y))
+
+    def _link(self, rx: int, ry: int) -> bool:
         if rx == ry:
             return False
         mx, my = self._members[rx], self._members[ry]

@@ -68,10 +68,11 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     p activates exactly the distance-(p+1) shell (ascending vertex index),
     merging each new vertex with its already-active neighbors through a
     disjoint set, O(n^2) per center.  That shell build and the activations
-    are the only Python work; at each kept radius the disjoint set's root
-    array is copied into the label row as it stands (-1 inside the ball).
-    One array pass after all centers turns roots into first-touch labels and
-    counts the component sizes.
+    are the only Python work.  At each kept radius with two components the
+    disjoint set's root array is copied into the label row as it stands (-1
+    inside the ball); rows with one component are filled per center from
+    the distance row instead.  One array pass after all centers turns roots
+    into first-touch labels and counts the component sizes.
     """
     n = g.n
     if n < 2:
@@ -92,15 +93,14 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
         ncomp = 0
         for p in range(ecc_v - 1, 0, -1):
             for z in shells[p + 1]:
-                dsu.activate(z)
-                ncomp += 1
-                for y in adj[z]:
-                    if dsu.is_active(y) and dsu.union(z, y):
-                        ncomp -= 1
+                ncomp += 1 - dsu.add(z, adj[z])
             if p <= rho:
                 kappa[v, p] = ncomp
-                if ncomp <= 2:
+                if ncomp == 2:
                     comp_label[v, p] = dsu.parent
+        # one component: every vertex outside the ball shares root 0
+        one = np.flatnonzero(kappa[v] == 1)
+        comp_label[v, one] = (dm.dist[v] > one[:, None]) - 1
     # rows never written (p = 0, p >= ecc, more than two components) hold -1
     # throughout and come out as all-inside rows of label 0
     rows = comp_label.reshape(-1, n)
@@ -140,32 +140,28 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
 
     A vertex z neighbors B(v, p) exactly when dist(v, z) = p + 1, so every
     ordered pair (v, z) contributes to one radius only.  Pairs are grouped
-    by (radius, component) per center and the max over each group's distance
-    rows is taken vectorized.
+    by (center, radius, component) and the max over each group's distance
+    rows is taken vectorized, for a block of centers at a time: a block
+    gathers at most about 2**18 distance entries, so small graphs take one
+    pass and large ones stay within a small fraction of the table.
     """
     n = g.n
     rho = rt.rho
     req = np.zeros((n, rho + 1, 2, n), dtype=np.int16)
+    rows = req.reshape(-1, n)  # row (v * (rho + 1) + p) * 2 + label - 1
     dist = dm.dist
-    kappa = rt.kappa
-    comp_label = rt.comp_label
-    for v in range(n):
-        p_z = dist[v].astype(np.int64) - 1
-        zs = np.nonzero((p_z >= 1) & (p_z <= rho))[0]
-        if zs.size == 0:
-            continue
-        ps = p_z[zs]
-        k = kappa[v, ps]
+    block = max(1, (1 << 18) // (n * n))
+    for lo in range(0, n, block):
+        p_z = dist[lo : lo + block].astype(np.int64) - 1
+        vs, zs = np.nonzero((p_z >= 1) & (p_z <= rho))
+        ps = p_z[vs, zs]
+        vs += lo
+        k = rt.kappa[vs, ps]
         m = (k >= 1) & (k <= 2)
-        zs, ps = zs[m], ps[m]
-        if zs.size == 0:
-            continue
-        labs = comp_label[v, ps, zs].astype(np.int64)
-        key = ps * 2 + labs - 1
+        vs, zs, ps = vs[m], zs[m], ps[m]
+        key = (vs * (rho + 1) + ps) * 2 + rt.comp_label[vs, ps, zs] - 1
         order = np.argsort(key, kind="stable")
         zs, key = zs[order], key[order]
-        starts = np.nonzero(np.r_[True, key[1:] != key[:-1]])[0]
-        gmax = np.maximum.reduceat(dist[zs], starts, axis=0)
-        gkey = key[starts]
-        req[v, gkey // 2, gkey % 2] = gmax
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        rows[key[starts]] = np.maximum.reduceat(dist[zs], starts, axis=0)
     return RequirementTable(rho=rho, req=req)

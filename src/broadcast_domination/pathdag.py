@@ -6,8 +6,10 @@ ball sees the already-covered part of the graph on one residual side and
 the uncovered part on the other.  A state is therefore a ball plus an
 orientation of its residual components; an arc says two oriented balls can
 be consecutive.  Every arc strictly grows the left side, so the digraph is
-acyclic and a single topological DP finds the cheapest source-to-sink
-chain, with no per-anchor outer loop.
+acyclic and a single DP in left-size order finds the cheapest
+source-to-sink chain, with no per-anchor outer loop.  The DP pulls each
+state's in-arcs straight from the tables; arc arrays are materialized only
+for dumps, tests and tracing (build_dag).
 
 States are encoded by (center, power, left label): label 0 is the empty
 side, labels 1 and 2 name residual components of the ball.  With kappa
@@ -56,11 +58,12 @@ class State:
 
 @dataclass(eq=False)
 class StateDag:
-    """Dense state arrays plus the arc list.
+    """Dense state arrays plus the arc list, for dumps, tests and tracing.
 
     State id = (v * rho + (p-1)) * 3 + left_label; ids where exists is False
     are unused slots, and a state's power (its weight) is id // 3 % rho + 1.
-    Arcs are stored as flat parallel src/dst arrays.
+    Arcs are stored as flat parallel src/dst arrays; the solver never builds
+    them.
     """
 
     n: int
@@ -165,108 +168,105 @@ def arc_test(sigma: State, tau: State, dm: DistanceMatrix, rt: ResidualTable, re
     return True
 
 
-def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable) -> StateDag:
-    """Enumerate all arcs in O(n^3).
+def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, states):
+    """Every in-arc of every non-source state, in batches of whole targets.
 
-    For an ordered center pair (v, w) and power p, only q = dist(v,w)-p-1
-    can be contact-tight, and the component labels pin down exactly one
-    orientation on each side, so each surviving (v, p, w) triple yields one
-    arc.  The inner work is vectorized over the (p, w) grid per center.
+    Targets are taken in increasing left size.  Yields (dst, src) per
+    batch: arcs src -> dst grouped by target in that order, source centers
+    ascending per group.  For tau = (w, q, l) a predecessor's center v lies
+    in tau's left component, contact forces its power p = dist(v, w) - q - 1,
+    and kappa, the facing label and arc_test's two requirement lookups
+    decide the rest.  Its left label is 0 on a one-component ball, else the
+    label not facing w.  Every source is checked to have a smaller left size
+    than its target, so targets walked in order only read finished sources.
     """
-    n = g.n
-    rho = rt.rho
-    exists, left_size, is_source, is_sink = _dense_tables(rt)
-    kappa = rt.kappa
-    comp_label = rt.comp_label
-    reqarr = req.req
-    p_col = np.arange(1, rho + 1, dtype=np.int64)[:, None]
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    for v in range(n):
-        kv = kappa[v, 1:].astype(np.int64)  # (rho,)
-        has_residual = (kv >= 1) & (kv <= 2)
-        if not has_residual.any():
-            continue
-        q_grid = dm.dist[v].astype(np.int64)[None, :] - p_col - 1  # (rho, n)
-        ok = has_residual[:, None] & (q_grid >= 1) & (q_grid <= rho)
-        pi, wi = np.nonzero(ok)
-        if pi.size == 0:
-            continue
-        ps = pi + 1
-        qs = q_grid[pi, wi]
-        kw = kappa[wi, qs].astype(np.int64)
-        m = (kw >= 1) & (kw <= 2)
-        if not m.any():
-            continue
-        ps, wi, qs = ps[m], wi[m], qs[m]
-        rlab = comp_label[v, ps, wi].astype(np.int64)
-        llab = comp_label[wi, qs, v].astype(np.int64)
-        m = (reqarr[v, ps, rlab - 1, wi] <= qs) & (reqarr[wi, qs, llab - 1, v] <= ps)
-        if not m.any():
-            continue
-        ps, wi, qs, rlab, llab = ps[m], wi[m], qs[m], rlab[m], llab[m]
-        sigma_left = np.where(kappa[v, ps] == 1, 0, 3 - rlab)
-        srcs.append((v * rho + ps - 1) * 3 + sigma_left)
-        dsts.append((wi * rho + qs - 1) * 3 + llab)
-    if srcs:
-        arc_src = np.concatenate(srcs)
-        arc_dst = np.concatenate(dsts)
-    else:
-        arc_src = np.empty(0, dtype=np.int64)
-        arc_dst = np.empty(0, dtype=np.int64)
-    # acyclicity witness: the left side strictly grows along every arc
-    if not (left_size[arc_dst] > left_size[arc_src]).all():
-        raise InternalError("an arc does not grow the left side")
-    return StateDag(
-        n=n,
-        rho=rho,
-        exists=exists,
-        left_size=left_size,
-        is_source=is_source,
-        is_sink=is_sink,
-        arc_src=arc_src,
-        arc_dst=arc_dst,
-    )
+    exists, left_size, is_source, _ = states
+    n, rho = rt.n, rt.rho
+    # flat views; (center, power) row r = center * (rho + 1) + power
+    kappa, labels, reqs = rt.kappa.reshape(-1), rt.comp_label.reshape(-1), req.req.reshape(-1)
+    targets = np.flatnonzero(exists & ~is_source)
+    targets = targets[np.argsort(left_size[targets], kind="stable")]
+    # a target has left_size candidates; batches of about max(n^2/2, 2^13)
+    # of them are few on small graphs and small beside the tables on large
+    # ones (about 120 bytes per candidate against 6 n^2 rho table bytes)
+    batch = np.cumsum(left_size[targets]) // max(n * n // 2, 1 << 13)
+    for taus in np.split(targets, np.flatnonzero(np.diff(batch)) + 1):
+        ball, left = np.divmod(taus, 3)
+        w, q = np.divmod(ball, rho)
+        q += 1
+        facing = (w * (rho + 1) + q) * 2 + left - 1  # req row of tau's left side
+        pos, v = np.nonzero(rt.comp_label[w, q] == left[:, None])
+        w, q = w[pos], q[pos]
+        p = dm.dist[v, w] - q - 1
+        vp = v * (rho + 1) + np.where(p <= rho, p, 0)  # kappa is 0 at power 0
+        k = kappa[vp]
+        m = (k >= 1) & (k <= 2)
+        pos, v, w, q, p, k, vp = pos[m], v[m], w[m], q[m], p[m], k[m], vp[m]
+        rlab = labels[vp * n + w].astype(np.int64)
+        m = (reqs[(vp * 2 + rlab - 1) * n + w] <= q) & (reqs[facing[pos] * n + v] <= p)
+        pos, v, p, k, rlab = pos[m], v[m], p[m], k[m], rlab[m]
+        src = (v * rho + p - 1) * 3 + np.where(k == 1, 0, 3 - rlab)
+        dst = taus[pos]
+        # acyclicity witness: the left side strictly grows along every arc
+        if (left_size[src] >= left_size[dst]).any():
+            raise InternalError("an arc does not grow the left side")
+        yield dst, src
 
 
-def _solve_dag(dag: StateDag, source_mask: np.ndarray | None = None):
-    """Shortest source-to-sink chain by DP in left-size order.
+def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable) -> StateDag:
+    """All in-arcs of all states in O(n^3), ordered by (source ball, target
+    id).  Only dumps, tests and tracing call this; the DP pulls the arcs."""
+    states = _dense_tables(rt)
+    srcs, dsts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for dst, src in _in_arcs(dm, rt, req, states):
+        srcs.append(src)
+        dsts.append(dst)
+    arc_src, arc_dst = np.concatenate(srcs), np.concatenate(dsts)
+    order = np.argsort(arc_src // 3 * states[0].size + arc_dst)
+    return StateDag(g.n, rt.rho, *states, arc_src=arc_src[order], arc_dst=arc_dst[order])
+
+
+def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, source_mask: np.ndarray | None = None):
+    """Shortest source-to-sink chain by a pull DP in left-size order.
 
     Returns (cost, chain of state ids from leftmost to rightmost), or None
     when no sink is reachable from an allowed source.  Ties are broken
     toward the smaller (center, power, left) triple, which is the state id
     order.
 
-    Each state keeps one int64, (cost << 32) + predecessor id, and each arc
+    Each state keeps one int64, (cost << 32) + predecessor id.  Each in-arc
     offers its target ((cost of the source + power of the target) << 32) +
-    source id.  Arcs strictly grow the left size, so relaxing them grouped
-    by the source's left size finalizes every source before its out-arcs
-    are read, and a state's minimum is its cheapest cost together with the
-    smallest source id among its tight in-arcs.  That id is the
-    lexicographic tie-break because, for a fixed state and predecessor
-    center, distance and labels force the predecessor's power and
-    orientation, so each predecessor center owns exactly one candidate id,
-    and ids ascend with the center.  Both halves fit: ids are below
-    3 * n * rho < 2**31 and costs below _INF = 2**30, because
-    n < MAX_VERTICES and rho <= n / 2.  The id is added, not or-ed in (the
-    same on a zero low half), because NumPy's int64 bitwise_or loop is code
-    no other solve step runs, and loading it costs about 128 KB resident.
+    source id, and one minimum.reduceat per left size keeps each target's
+    smallest offer.  Every source of a left size is final, so a state's
+    value is its cheapest cost with the smallest source id among its tight
+    in-arcs.  That id is the lexicographic tie-break because, for a fixed
+    state and predecessor center, distance and labels force the
+    predecessor's power and orientation, so each predecessor center owns
+    exactly one candidate id, and ids ascend with the center.  Unreached
+    states cost at least _INF.  Both halves fit: ids are below
+    3 * n * rho < 2**31, and costs below _INF + n * rho < 2**31, because
+    n < MAX_VERTICES and rho <= n / 2.  The id is added, not or-ed in,
+    because NumPy's int64 bitwise_or loop is code no other solve step runs,
+    and loading it costs about 128 KB resident.
     """
-    sources = dag.is_source if source_mask is None else dag.is_source & source_mask
-    power = np.arange(dag.exists.size) // 3 % dag.rho + 1
-    best = np.full(dag.exists.size, _INF << 32 | _NO_PRED, dtype=np.int64)
+    states = _dense_tables(rt)
+    exists, left_size, is_source, is_sink = states
+    sources = is_source if source_mask is None else is_source & source_mask
+    power = np.arange(exists.size) // 3 % rt.rho + 1
+    best = np.full(exists.size, _INF << 32 | _NO_PRED, dtype=np.int64)
     best[sources] = (power[sources] << 32) + _NO_PRED
-    key = dag.left_size[dag.arc_src]
-    order = np.argsort(key, kind="stable")
-    lo = 0
-    for hi in np.cumsum(np.bincount(key)).tolist():
-        if hi > lo:
-            group = order[lo:hi]
-            src, dst = dag.arc_src[group], dag.arc_dst[group]
-            np.minimum.at(best, dst, (((best[src] >> 32) + power[dst]) << 32) + src)
-        lo = hi
+    for dst, src in _in_arcs(dm, rt, req, states):
+        offers = (power[dst] << 32) + src  # still without the source's cost
+        first = np.flatnonzero(np.diff(dst, prepend=-1))  # first offer to each target
+        taus = dst[first]
+        bounds = [0, *(np.flatnonzero(np.diff(left_size[taus])) + 1).tolist(), taus.size]
+        ends = [*first.tolist(), dst.size]
+        for a, b in zip(bounds, bounds[1:]):  # one left size at a time
+            lo, hi = ends[a], ends[b]
+            costs = best[src[lo:hi]] >> 32 << 32
+            best[taus[a:b]] = np.minimum.reduceat(costs + offers[lo:hi], first[a:b] - lo)
     cost = best >> 32
-    sink_ids = np.flatnonzero(dag.is_sink & (cost < _INF))
+    sink_ids = np.flatnonzero(is_sink & (cost < _INF))
     if sink_ids.size == 0:
         return None
     end = int(sink_ids[np.argmin(cost[sink_ids])])  # first argmin = smallest id
@@ -279,11 +279,12 @@ def _solve_dag(dag: StateDag, source_mask: np.ndarray | None = None):
     return int(cost[end]), chain
 
 
-def _broadcast_from_chain(dag: StateDag, chain: list[int]) -> Broadcast:
+def _broadcast_from_chain(rho: int, chain: list[int]) -> Broadcast:
     assignment = []
     seen = set()
     for sid in chain:
-        v, p, _ = dag.decode(sid)
+        v, p = divmod(sid // 3, rho)
+        p += 1
         # a simple chain never revisits a center; enforced, not repaired
         if v in seen:
             raise InternalError("state chain reuses a center")
@@ -302,12 +303,11 @@ def solve_path(h: Graph) -> Broadcast:
         raise DisconnectedGraphError("solve_path requires a connected graph")
     rt = residual_decompositions(h, dm)
     req = requirement_table(h, dm, rt)
-    dag = build_dag(h, dm, rt, req)
-    res = _solve_dag(dag)
+    res = _solve_states(dm, rt, req)
     if res is None:
         raise InternalError("no source-to-sink chain, but a radial state always exists")
     cost, chain = res
-    bc = _broadcast_from_chain(dag, chain)
+    bc = _broadcast_from_chain(rt.rho, chain)
     if bc.cost != cost:
         raise InternalError(f"chain cost {bc.cost} differs from the DP value {cost}")
     return bc

@@ -181,6 +181,17 @@ class TestDisjointSet:
         assert d.find(d.find(0)) == d.find(0)  # idempotent
         assert d.is_active(2) and not d.is_active(3)
 
+    def test_add_counts_merges(self):
+        d = DisjointSet(5)
+        assert d.add(0, [1, 2]) == 0  # no active neighbor yet
+        assert d.add(2, [0, 1]) == 1
+        assert d.add(4, [3]) == 0
+        assert d.add(1, [0, 2, 4]) == 2  # 2 is already in 0's class
+        assert d.find(0) == d.find(1) == d.find(2) == d.find(4)
+        assert not d.is_active(3)
+        with pytest.raises(ValueError):
+            d.add(1, [])
+
     def test_inactive_errors(self):
         d = DisjointSet(3)
         with pytest.raises(ValueError):

@@ -1,4 +1,8 @@
+import hashlib
 import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -10,7 +14,7 @@ from broadcast_domination.graph import Graph, apsp, bits_of, is_connected, iter_
 from broadcast_domination.metric import requirement_table, residual_decompositions
 from broadcast_domination.oracle import oracle_gamma_path
 from broadcast_domination.pathdag import (
-    _solve_dag,
+    _solve_states,
     arc_test,
     build_dag,
     dag_to_dot,
@@ -180,6 +184,21 @@ class TestBuildDag:
             ls = dag.left_size
             assert all(ls[b] > ls[a] for a, b in zip(dag.arc_src.tolist(), dag.arc_dst.tolist()))
 
+    def test_dot_dump_pinned(self):
+        # sha256 of dag_to_dot: states, arcs and their order stay byte for
+        # byte what the per-center arc builder emitted
+        pinned = [
+            ("path-12", path_graph(12), "a87c1e64b6f8b6190d71a0e5dafc7afd04165fbf6b317db03970f6c543d64df8"),
+            ("cycle-11", cycle_graph(11), "bcfea88520c38999ff9ecda249f1812acc6ed9df78dd14f917dda3f80ea4f1b8"),
+            ("barbell-12", barbell_graph(12), "1d17b9f6ce169293d478469daea47bd8370ed6fd31992bd49be558e8372bb329"),
+            ("random-16-41", random_connected_graph(16, 41), "a366b24083fa6bbfc3c4b6d049c75b42202df7337568167352cc474a06342c06"),
+            ("random-21-42", random_connected_graph(21, 42), "11cb4b3166545b2497625480b7a6d08e23cabce0d5bde4f9ea27b7e417af303c"),
+        ]
+        for name, g, want in pinned:
+            dm, rt, rq = tables(g)
+            got = hashlib.sha256(dag_to_dot(build_dag(g, dm, rt, rq)).encode()).hexdigest()
+            assert got == want, name
+
     def test_dot_dump(self):
         g = path(4)
         dm, rt, rq = tables(g)
@@ -238,7 +257,7 @@ class TestSolvePath:
             mask = None if anchor is None else source_mask_containing(dm, rt.rho, anchor)
             sources = dag.is_source if mask is None else dag.is_source & mask
             d, pred = tight_predecessors(dag, sources)
-            cost, chain = _solve_dag(dag, mask)
+            cost, chain = _solve_states(dm, rt, rq, mask)
             sinks = [sid for sid in np.flatnonzero(dag.is_sink).tolist() if sid in d]
             assert cost == min(d[sid] for sid in sinks)
             assert chain[-1] == min(sid for sid in sinks if d[sid] == cost)
@@ -247,6 +266,44 @@ class TestSolvePath:
             for a, b in zip(chain, chain[1:]):
                 assert (a, b) in arcs
                 assert a == pred[b]
+
+    def test_memory_within_tables(self):
+        # the DP pulls in-arcs one left-size batch at a time, so no arc
+        # array of cubic length exists while solve_path runs
+        g = path_graph(128)
+        _, rt, rq = tables(g)
+        table_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + rq.req.nbytes
+        del rt, rq
+        tracemalloc.start()
+        try:
+            solve_path(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * table_bytes, f"peak {peak} B against {table_bytes} B of tables"
+
+    def test_left_size_check_survives_optimize_flag(self):
+        # with every non-source state given one left size, arcs between
+        # them no longer grow the left side and a batch would read a source
+        # it has not finished; the DP must refuse, also under python -O
+        code = (
+            "from broadcast_domination import InternalError, pathdag\n"
+            "from broadcast_domination.generators import path_graph\n"
+            "assert False, 'asserts are live'\n"
+            "dense = pathdag._dense_tables\n"
+            "def flattened(rt):\n"
+            "    exists, left_size, is_source, is_sink = dense(rt)\n"
+            "    left_size[~is_source] = 1\n"
+            "    return exists, left_size, is_source, is_sink\n"
+            "pathdag._dense_tables = flattened\n"
+            "try:\n"
+            "    pathdag.solve_path(path_graph(12))\n"
+            "except InternalError:\n"
+            "    print('InternalError')\n"
+        )
+        res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=os.environ)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "InternalError\n"
 
     def test_soundness_and_radius_bound(self, small_random_graphs):
         for g in small_random_graphs:
