@@ -101,6 +101,7 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
         # one component: every vertex outside the ball shares root 0
         one = np.flatnonzero(kappa[v] == 1)
         comp_label[v, one] = (dm.dist[v] > one[:, None]) - 1
+    del dr, shells, dsu, one  # per-center state, not needed by the array pass
     # rows never written (p = 0, p >= ecc, more than two components) hold -1
     # throughout and come out as all-inside rows of label 0
     rows = comp_label.reshape(-1, n)
