@@ -11,7 +11,6 @@ from .anchored import AnchoredRun, anchored_runs, solve_path_anchored
 from .generators import FAMILIES, GeneratorSpec, SplitMix64, generate
 from .graph import (
     DisconnectedGraphError,
-    DisjointSet,
     DistanceMatrix,
     Graph,
     GraphFormatError,

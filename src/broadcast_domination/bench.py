@@ -32,7 +32,6 @@ __all__ = [
     "BenchReport",
     "run_bench",
     "report_to_csv",
-    "report_from_csv",
     "format_table",
     "speedup_csv",
     "TASKS",
@@ -140,36 +139,13 @@ _CSV_FIELDS = ["family", "n", "seed", "task", "solver", "reps", "median_ms", "co
 
 
 def report_to_csv(report: BenchReport) -> str:
-    """Rows only; aggregates are derived, so parsing recomputes them."""
+    """Rows only; aggregates are derived from them."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_CSV_FIELDS)
     for r in report.rows:
         w.writerow([r.family, r.n, r.seed, r.task, r.solver, r.reps, repr(r.median_ms), r.cost, r.threads])
     return buf.getvalue()
-
-
-def report_from_csv(text: str) -> BenchReport:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != _CSV_FIELDS:
-        raise ValueError(f"unexpected bench CSV header: {header}")
-    rows = []
-    for rec in reader:
-        rows.append(
-            BenchRow(
-                family=rec[0],
-                n=int(rec[1]),
-                seed=int(rec[2]),
-                task=rec[3],
-                solver=rec[4],
-                reps=int(rec[5]),
-                median_ms=float(rec[6]),
-                cost=int(rec[7]),
-                threads=int(rec[8]),
-            )
-        )
-    return BenchReport(rows=tuple(rows), aggregates=_aggregate(rows))
 
 
 def _speedups(rows) -> dict[tuple, float]:

@@ -2,9 +2,11 @@
 
 Reports are line-oriented key:value text so they diff cleanly.  Timing is
 printed only when asked for (--timing), keeping default output byte-stable
-across runs.  Exit codes: 0 success, 1 usage or parse error, 2 infeasible
-precondition (disconnected input, 32 000 or more vertices, oracle size
-limit, bench timeout), 3 internal invariant violation.
+across runs.  Exit codes: 0 success, 1 usage or parse error or a file that
+cannot be read or written, 2 infeasible precondition (disconnected input,
+32 000 or more vertices, oracle size limit, bench timeout), 3 internal
+invariant violation.  Failures print an error line to stderr, not a
+traceback.
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ def main(argv=None) -> int:
     except (DisconnectedGraphError, GraphTooLargeError, OracleLimitError, BenchTimeout) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
-    except ValueError as exc:  # GraphFormatError included
+    except (ValueError, OSError) as exc:  # GraphFormatError; unreadable or unwritable files
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except InternalError as exc:

@@ -1,8 +1,9 @@
-"""Graph representation, edge-list I/O, BFS metrics, and disjoint sets.
+"""Graph representation, edge-list I/O and BFS metrics.
 
-Vertices are dense integers 0..n-1.  Vertex sets are plain Python ints used
-as bit masks (bit z set = vertex z present), which keeps unions,
-intersections, and popcounts word-parallel even when many of them are built.
+Vertices are dense integers 0..n-1.  Where a caller needs vertex sets
+(verification, the oracle), they are plain Python ints used as bit masks
+(bit z set = vertex z present), which keeps unions, intersections, and
+popcounts word-parallel even when many of them are built.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 __all__ = [
     "Graph",
     "DistanceMatrix",
-    "DisjointSet",
     "GraphFormatError",
     "GraphTooLargeError",
     "DisconnectedGraphError",
@@ -84,13 +84,11 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Adjacency is stored twice: as sorted neighbor tuples for iteration and as
-    per-vertex bit masks for set arithmetic (frontiers, coverage checks).
+    Adjacency is one sorted neighbor tuple per vertex.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-    adj_bits: tuple[int, ...]
     edge_count: int
 
     @classmethod
@@ -120,14 +118,10 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         adj = tuple(tuple(sorted(a)) for a in nbrs)
-        bits = tuple(bits_of(a) for a in adj)
-        return cls(n=n, adj=adj, adj_bits=bits, edge_count=len(seen))
+        return cls(n=n, adj=adj, edge_count=len(seen))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     @property
     def full_mask(self) -> int:
@@ -183,7 +177,6 @@ class DistanceMatrix:
     dist: np.ndarray  # (n, n) int16
     ecc: np.ndarray  # (n,) int16
     radius: int
-    sentinel: int
     connected: bool
 
     @property
@@ -217,7 +210,7 @@ def apsp(g: Graph) -> DistanceMatrix:
     ecc = dist.max(axis=1)
     connected = bool(int(ecc.max()) < n) if n > 1 else True
     radius = int(ecc.min())
-    return DistanceMatrix(dist=dist, ecc=ecc, radius=radius, sentinel=n, connected=connected)
+    return DistanceMatrix(dist=dist, ecc=ecc, radius=radius, connected=connected)
 
 
 def is_connected(g: Graph) -> bool:
@@ -225,80 +218,19 @@ def is_connected(g: Graph) -> bool:
     return max(bfs_distances(g, 0)) < g.n
 
 
-def induced_subgraph(g: Graph, keep: int) -> tuple[Graph, list[int]]:
-    """Subgraph on the masked vertex set, renumbered densely.
+def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, list[int]]:
+    """Subgraph on the given ascending vertices, renumbered densely.
 
     Returns the subgraph together with the map from new index back to the
     original vertex.  The result may be disconnected.
     """
-    if keep == 0:
+    back = np.asarray(keep, dtype=np.int64).tolist()
+    if not back:
         raise ValueError("keep set is empty")
-    back = list(iter_bits(keep))
     index = {v: i for i, v in enumerate(back)}
     edges = []
     for i, v in enumerate(back):
-        for w in iter_bits(g.adj_bits[v] & keep):
-            if w > v:
+        for w in g.adj[v]:
+            if w > v and w in index:
                 edges.append((i, index[w]))
     return Graph.from_edges(len(back), edges), back
-
-
-class DisjointSet:
-    """Union-find over vertex indices with explicit activation.
-
-    Roots are maintained eagerly: every union relabels the smaller class, so
-    find is a single array lookup.  That trades O(n log n) total relabel work
-    for O(1) finds.  `parent[x]` always points directly at the root of x, or
-    is -1 while x is inactive, so the list itself is a complete component
-    labeling at any moment: `residual_decompositions` copies it whole into
-    its table after each radius step that leaves two components, instead
-    of calling find per vertex.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.parent: list[int] = [-1] * n
-        self._members: dict[int, list[int]] = {}
-
-    def is_active(self, x: int) -> bool:
-        return self.parent[x] >= 0
-
-    def activate(self, x: int) -> None:
-        if self.parent[x] >= 0:
-            raise ValueError(f"vertex {x} already active")
-        self.parent[x] = x
-        self._members[x] = [x]
-
-    def find(self, x: int) -> int:
-        r = self.parent[x]
-        if r < 0:
-            raise ValueError(f"vertex {x} is not active")
-        return r
-
-    def add(self, x: int, neighbors: Iterable[int]) -> int:
-        """Activate x and union it with every active neighbor; returns the
-        number of classes that merged into x's."""
-        self.activate(x)
-        parent = self.parent
-        merged = 0
-        for y in neighbors:
-            if parent[y] >= 0 and self._link(parent[x], parent[y]):
-                merged += 1
-        return merged
-
-    def union(self, x: int, y: int) -> bool:
-        """Merge the classes of x and y; True iff they were distinct."""
-        return self._link(self.find(x), self.find(y))
-
-    def _link(self, rx: int, ry: int) -> bool:
-        if rx == ry:
-            return False
-        mx, my = self._members[rx], self._members[ry]
-        if len(mx) < len(my) or (len(mx) == len(my) and ry < rx):
-            rx, ry, mx, my = ry, rx, my, mx
-        parent = self.parent
-        for z in my:
-            parent[z] = rx
-        mx.extend(my)
-        del self._members[ry]
-        return True

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, DisjointSet, DistanceMatrix, Graph
+from .graph import DisconnectedGraphError, DistanceMatrix, Graph
 
 __all__ = [
     "ResidualTable",
@@ -61,13 +61,49 @@ class ResidualTable:
         return m
 
 
+class _ShellSets:
+    """Disjoint sets of the vertices outside a shrinking ball, grown one
+    vertex at a time.
+
+    parent[z] is the root of z's class, or -1 while z is inside the ball,
+    so the list is a complete component labeling at any moment.  Roots are
+    kept eagerly: a merge relabels the smaller class, O(n log n) in total.
+    """
+
+    def __init__(self, n: int):
+        self.parent: list[int] = [-1] * n
+        self._members: dict[int, list[int]] = {}
+
+    def add(self, x: int, neighbors) -> int:
+        """Put x in a class of its own, then merge it with every neighbor
+        outside the ball; returns the number of classes merged into x's."""
+        parent, members = self.parent, self._members
+        parent[x] = x
+        members[x] = [x]
+        merged = 0
+        for y in neighbors:
+            ry = parent[y]
+            rx = parent[x]
+            if ry < 0 or rx == ry:
+                continue
+            mx, my = members[rx], members[ry]
+            if len(mx) < len(my) or (len(mx) == len(my) and ry < rx):
+                rx, ry, mx, my = ry, rx, my, mx
+            for z in my:
+                parent[z] = rx
+            mx.extend(my)
+            del members[ry]
+            merged += 1
+        return merged
+
+
 def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     """Component structure of H - B(v, p) for every v and 1 <= p <= radius.
 
     Radii are processed in decreasing order per center: stepping from p+1 to
     p activates exactly the distance-(p+1) shell (ascending vertex index),
     merging each new vertex with its already-active neighbors through a
-    disjoint set, O(n^2) per center.  That shell build and the activations
+    disjoint set, O(n^2) per center.  That shell build and the additions
     are the only Python work.  At each kept radius with two components the
     disjoint set's root array is copied into the label row as it stands (-1
     inside the ball); rows with one component are filled per center from
@@ -89,19 +125,19 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
         shells: list[list[int]] = [[] for _ in range(ecc_v + 1)]
         for z in range(n):
             shells[dr[z]].append(z)
-        dsu = DisjointSet(n)
+        sets = _ShellSets(n)
         ncomp = 0
         for p in range(ecc_v - 1, 0, -1):
             for z in shells[p + 1]:
-                ncomp += 1 - dsu.add(z, adj[z])
+                ncomp += 1 - sets.add(z, adj[z])
             if p <= rho:
                 kappa[v, p] = ncomp
                 if ncomp == 2:
-                    comp_label[v, p] = dsu.parent
+                    comp_label[v, p] = sets.parent
         # one component: every vertex outside the ball shares root 0
         one = np.flatnonzero(kappa[v] == 1)
         comp_label[v, one] = (dm.dist[v] > one[:, None]) - 1
-    del dr, shells, dsu, one  # per-center state, not needed by the array pass
+    del dr, shells, sets, one  # per-center state, not needed by the array pass
     # rows never written (p = 0, p >= ecc, more than two components) hold -1
     # throughout and come out as all-inside rows of label 0
     rows = comp_label.reshape(-1, n)

@@ -14,7 +14,13 @@ for dumps, tests and tracing (build_dag).
 States are encoded by (center, power, left label): label 0 is the empty
 side, labels 1 and 2 name residual components of the ball.  With kappa
 components the orientations are fixed by the construction rules, so the
-left label alone pins the state down.
+left label alone pins the state down.  _state_id and _decode are the one
+place that turns such a triple into a dense id and back; ids ascend with
+(center, power, left label).
+
+solve_path and the anchored baseline share the table build (_path_tables)
+and the step from DP chain to checked broadcast (_solve_broadcast); the
+baseline only restricts which balls may start a chain.
 """
 
 from __future__ import annotations
@@ -41,6 +47,18 @@ _INF = 1 << 30  # above every chain cost: at most n * rho < 2**30, as rho <= n/2
 _NO_PRED = (1 << 32) - 1  # low half of a packed DP value: no predecessor
 
 
+def _state_id(v, p, left, rho):
+    """Dense id of the state (center v, power p, left label); ints or arrays."""
+    return (v * rho + p - 1) * 3 + left
+
+
+def _decode(sid, rho):
+    """(center, power, left label) of a state id; ints or arrays."""
+    ball, left = divmod(sid, 3)
+    v, p = divmod(ball, rho)
+    return v, p + 1, left
+
+
 @dataclass(frozen=True)
 class State:
     """One oriented ball: left/right are residual component labels, 0 = empty."""
@@ -60,10 +78,9 @@ class State:
 class StateDag:
     """Dense state arrays plus the arc list, for dumps, tests and tracing.
 
-    State id = (v * rho + (p-1)) * 3 + left_label; ids where exists is False
-    are unused slots, and a state's power (its weight) is id // 3 % rho + 1.
-    Arcs are stored as flat parallel src/dst arrays; the solver never builds
-    them.
+    Arrays are indexed by state id (_state_id); ids where exists is False
+    are unused slots.  Arcs are stored as flat parallel src/dst arrays; the
+    solver never builds them.
     """
 
     n: int
@@ -76,12 +93,10 @@ class StateDag:
     arc_dst: np.ndarray  # int64
 
     def state_id(self, v: int, p: int, left: int) -> int:
-        return (v * self.rho + p - 1) * 3 + left
+        return _state_id(v, p, left, self.rho)
 
     def decode(self, sid: int) -> tuple[int, int, int]:
-        left = sid % 3
-        rest = sid // 3
-        return rest // self.rho, rest % self.rho + 1, left
+        return _decode(sid, self.rho)
 
     @property
     def num_states(self) -> int:
@@ -101,6 +116,8 @@ class StateDag:
 
 
 def _dense_tables(rt: ResidualTable):
+    """exists, left_size, is_source, is_sink, flat and indexed by state id:
+    the (n, rho, 3) layout of (center, power - 1, left label)."""
     n, rho = rt.n, rt.rho
     k = rt.kappa[:, 1:]  # (n, rho), column j = power j+1
     exists = np.zeros((n, rho, 3), dtype=bool)
@@ -191,9 +208,7 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     # ones (about 120 bytes per candidate against 6 n^2 rho table bytes)
     batch = np.cumsum(left_size[targets]) // max(n * n // 2, 1 << 13)
     for taus in np.split(targets, np.flatnonzero(np.diff(batch)) + 1):
-        ball, left = np.divmod(taus, 3)
-        w, q = np.divmod(ball, rho)
-        q += 1
+        w, q, left = _decode(taus, rho)
         facing = (w * (rho + 1) + q) * 2 + left - 1  # req row of tau's left side
         pos, v = np.nonzero(rt.comp_label[w, q] == left[:, None])
         w, q = w[pos], q[pos]
@@ -205,7 +220,7 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
         rlab = labels[vp * n + w].astype(np.int64)
         m = (reqs[(vp * 2 + rlab - 1) * n + w] <= q) & (reqs[facing[pos] * n + v] <= p)
         pos, v, p, k, rlab = pos[m], v[m], p[m], k[m], rlab[m]
-        src = (v * rho + p - 1) * 3 + np.where(k == 1, 0, 3 - rlab)
+        src = _state_id(v, p, np.where(k == 1, 0, 3 - rlab), rho)
         dst = taus[pos]
         # acyclicity witness: the left side strictly grows along every arc
         if (left_size[src] >= left_size[dst]).any():
@@ -222,17 +237,19 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
         srcs.append(src)
         dsts.append(dst)
     arc_src, arc_dst = np.concatenate(srcs), np.concatenate(dsts)
-    order = np.argsort(arc_src // 3 * states[0].size + arc_dst)
+    v, p, _ = _decode(arc_src, rt.rho)
+    order = np.lexsort((arc_dst, p, v))
     return StateDag(g.n, rt.rho, *states, arc_src=arc_src[order], arc_dst=arc_dst[order])
 
 
-def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, source_mask: np.ndarray | None = None):
+def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, start: np.ndarray | None = None):
     """Shortest source-to-sink chain by a pull DP in left-size order.
 
-    Returns (cost, chain of state ids from leftmost to rightmost), or None
-    when no sink is reachable from an allowed source.  Ties are broken
-    toward the smaller (center, power, left) triple, which is the state id
-    order.
+    start, if given, is an (n, rho) bool mask, start[v, p - 1] true for
+    the balls (v, p) whose source state may begin a chain.  Returns (cost,
+    chain of state ids from leftmost to rightmost), or None when no sink is
+    reachable from an allowed source.  Ties are broken toward the smaller
+    (center, power, left) triple, which is the state id order.
 
     Each state keeps one int64, (cost << 32) + predecessor id.  Each in-arc
     offers its target ((cost of the source + power of the target) << 32) +
@@ -251,8 +268,8 @@ def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, 
     """
     states = _dense_tables(rt)
     exists, left_size, is_source, is_sink = states
-    sources = is_source if source_mask is None else is_source & source_mask
-    power = np.arange(exists.size) // 3 % rt.rho + 1
+    center, power, _ = _decode(np.arange(exists.size), rt.rho)
+    sources = is_source if start is None else is_source & start[center, power - 1]
     best = np.full(exists.size, _INF << 32 | _NO_PRED, dtype=np.int64)
     best[sources] = (power[sources] << 32) + _NO_PRED
     for dst, src in _in_arcs(dm, rt, req, states):
@@ -279,18 +296,38 @@ def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, 
     return int(cost[end]), chain
 
 
-def _broadcast_from_chain(rho: int, chain: list[int]) -> Broadcast:
+def _path_tables(h: Graph, solver: str):
+    """Distances, residual and requirement tables of a connected graph with
+    at least two vertices; solver names the caller in the error."""
+    dm = apsp(h)
+    if not dm.connected:
+        raise DisconnectedGraphError(f"{solver} requires a connected graph")
+    rt = residual_decompositions(h, dm)
+    return dm, rt, requirement_table(h, dm, rt)
+
+
+def _solve_broadcast(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, start: np.ndarray | None = None):
+    """The cheapest chain from an allowed source (_solve_states) as a
+    broadcast.  A chain always exists: the radial state of a center is a
+    source and a sink, and its ball contains every vertex, so it is allowed
+    under any start mask of balls containing a given vertex."""
+    res = _solve_states(dm, rt, req, start)
+    if res is None:
+        raise InternalError("no source-to-sink chain, but a radial state always exists")
+    cost, chain = res
     assignment = []
     seen = set()
     for sid in chain:
-        v, p = divmod(sid // 3, rho)
-        p += 1
+        v, p, _ = _decode(sid, rt.rho)
         # a simple chain never revisits a center; enforced, not repaired
         if v in seen:
             raise InternalError("state chain reuses a center")
         seen.add(v)
         assignment.append((v, p))
-    return Broadcast.from_pairs(assignment)
+    bc = Broadcast.from_pairs(assignment)
+    if bc.cost != cost:
+        raise InternalError(f"chain cost {bc.cost} differs from the DP value {cost}")
+    return bc
 
 
 def solve_path(h: Graph) -> Broadcast:
@@ -298,19 +335,7 @@ def solve_path(h: Graph) -> Broadcast:
     a path.  The one-vertex graph gets the zero broadcast by convention."""
     if h.n == 1:
         return Broadcast(())
-    dm = apsp(h)
-    if not dm.connected:
-        raise DisconnectedGraphError("solve_path requires a connected graph")
-    rt = residual_decompositions(h, dm)
-    req = requirement_table(h, dm, rt)
-    res = _solve_states(dm, rt, req)
-    if res is None:
-        raise InternalError("no source-to-sink chain, but a radial state always exists")
-    cost, chain = res
-    bc = _broadcast_from_chain(rt.rho, chain)
-    if bc.cost != cost:
-        raise InternalError(f"chain cost {bc.cost} differs from the DP value {cost}")
-    return bc
+    return _solve_broadcast(*_path_tables(h, "solve_path"))
 
 
 def dag_to_dot(dag: StateDag) -> str:

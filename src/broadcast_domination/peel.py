@@ -35,7 +35,6 @@ from .graph import (
     InternalError,
     apsp,
     bfs_distances,
-    bits_of,
     induced_subgraph,
 )
 from .pathdag import solve_path
@@ -215,7 +214,7 @@ def _peel(
         return _checked(g, dm, Candidate(x, k, RESIDUAL_SINGLETON, k + 1, Broadcast.from_pairs(pairs)))
     if bound is not None and _cost_floor(k, int(far[k])) >= bound:
         return Candidate(x, k, RESIDUAL_PRUNED, None, None)
-    h, back = induced_subgraph(g, bits_of(outside.tolist()))
+    h, back = induced_subgraph(g, outside)
     first = bfs_distances(h, 0)
     last = max(first)
     if last == h.n:  # the unreachable sentinel

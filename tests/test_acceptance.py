@@ -7,6 +7,7 @@ computed once per session and shared by the criteria that consume it.
 
 from __future__ import annotations
 
+import hashlib
 import statistics
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import time
 
 import pytest
 
+from broadcast_domination.anchored import solve_path_anchored
 from broadcast_domination.bench import SOLVER_BASELINE, SOLVER_NEW, run_bench
 from broadcast_domination.generators import GeneratorSpec, cycle_graph, path_graph
 from broadcast_domination.graph import apsp, bits_of, induced_subgraph, iter_bits
@@ -59,7 +61,7 @@ def _ball_laws_hold(g, dm) -> bool:
                     if (x & y != 0) != (d <= p + q):
                         return False
                     if not x & y:
-                        touch = any(g.adj_bits[z] & y for z in iter_bits(x))
+                        touch = any(bits_of(g.adj[z]) & y for z in iter_bits(x))
                         if touch != (d == p + q + 1):
                             return False
     return True
@@ -102,8 +104,25 @@ def _unpruned_optimum(dm, candidates):
     return best
 
 
+# _answers_digest of each sweep's answers, taken before the path-case
+# layouts were regrouped (one owner per layout); answers must not move
+PINNED_DIGESTS = {
+    "exhaustive optimal": "c13aa5c7c7190500c31782b51cb3df48b8227b579ad26825a04fc2af9ae64e15",
+    "exhaustive path": "ceecc73891d74574aa9498fd0f7783c965f7b0541b6037331171e52c9b7d59cf",
+    "random optimal": "2cd5fd2e96caab1986629b09aed1e972ede4880de98eff12f51310db962c8d0a",
+    "random path": "e5b95c6ccf0149dd22ae69a6415aa62fd41a7b2127e17b124b728499a194a209",
+    "random anchored": "c7031bc7af681014b05537f0294e780830f75bb8fd9d954436c70b3d4f3f67cb",
+}
+
+
+def _answers_digest(broadcasts) -> str:
+    """sha256 of the assignments, one `v=p,...` line per graph in sweep order."""
+    text = "".join(",".join(f"{v}={p}" for v, p in bc.assignment) + "\n" for bc in broadcasts)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _residual_diameter(g, dm, x, k) -> int:
-    h, _ = induced_subgraph(g, bits_of(z for z in range(g.n) if dm.dist[x, z] > k))
+    h, _ = induced_subgraph(g, [z for z in range(g.n) if dm.dist[x, z] > k])
     return int(apsp(h).ecc.max())
 
 
@@ -124,6 +143,8 @@ def exhaustive_sweep():
         "singleton_peel": [],
         "no_efficient_optimum": [],
         "no_path_or_cycle_witness": [],
+        "optimal_answers": [],
+        "path_answers": [],
     }
     for n in range(1, 7):
         for g in connected_graphs(n):
@@ -132,6 +153,7 @@ def exhaustive_sweep():
             tag = (n, g.edges())
 
             opt = solve_optimal(g)
+            res["optimal_answers"].append(opt)
             truth_b = oracle_gamma_b(g)
             if opt.cost != truth_b.cost:
                 res["gamma_b_mismatch"].append(tag + (opt.cost, truth_b.cost))
@@ -143,6 +165,7 @@ def exhaustive_sweep():
                 res["packing_above_gamma"].append(tag + (tuple(packing), truth_b.cost))
 
             sp = solve_path(g)
+            res["path_answers"].append(sp)
             truth_p = oracle_gamma_path(g)
             if sp.cost != truth_p.cost:
                 res["gamma_path_mismatch"].append(tag + (sp.cost, truth_p.cost))
@@ -207,7 +230,7 @@ def random_sweep():
                 g,
                 solve_optimal(g),
                 oracle_gamma_b(g).cost,
-                solve_path(g).cost,
+                solve_path(g),
                 oracle_gamma_path(g).cost,
                 _unpruned_optimum(apsp(g), iter_candidates(g)),
             )
@@ -227,7 +250,7 @@ def test_oracle_equivalence_general(exhaustive_sweep, random_sweep):
 
 def test_oracle_equivalence_path_case(exhaustive_sweep, random_sweep):
     assert exhaustive_sweep["gamma_path_mismatch"] == []
-    bad = [(g.n, g.edges()) for g, _, _, sc, oc, _ in random_sweep if sc != oc]
+    bad = [(g.n, g.edges()) for g, _, _, sp, oc, _ in random_sweep if sp.cost != oc]
     assert bad == []
     _passed(
         "oracle equivalence (path case)",
@@ -248,6 +271,23 @@ def test_pruned_peel_matches_unpruned_loop(exhaustive_sweep, random_sweep):
         "pruned peel loop",
         f"equals the unpruned loop on {exhaustive_sweep['graphs']} graphs n<=6 and {len(random_sweep)} random"
         f" 7<=n<=12; threads=2 on {len(pooled)} of them",
+    )
+
+
+def test_answers_pinned(exhaustive_sweep, random_sweep):
+    # sha256 of every assignment, not only of every cost: tie-breaks among
+    # equal-cost optima stay byte for byte what they were
+    got = {
+        "exhaustive optimal": _answers_digest(exhaustive_sweep["optimal_answers"]),
+        "exhaustive path": _answers_digest(exhaustive_sweep["path_answers"]),
+        "random optimal": _answers_digest(opt for _, opt, *_ in random_sweep),
+        "random path": _answers_digest(sp for _, _, _, sp, *_ in random_sweep),
+        "random anchored": _answers_digest(solve_path_anchored(g) for g, *_ in random_sweep),
+    }
+    assert got == PINNED_DIGESTS
+    _passed(
+        "answers pinned",
+        f"assignment digests of {exhaustive_sweep['graphs']} graphs n<=6 and {len(random_sweep)} random 7<=n<=12",
     )
 
 

@@ -4,8 +4,6 @@ from broadcast_domination.bench import (
     SOLVER_BASELINE,
     SOLVER_NEW,
     format_table,
-    report_from_csv,
-    report_to_csv,
     run_bench,
     speedup_csv,
 )
@@ -32,13 +30,6 @@ def test_aggregates(tiny_report):
     assert fams["path"].cases == 2 and fams["path"].max_n == 10
     assert fams["star"].cases == 1
     assert fams["path"].max_speedup >= fams["path"].median_speedup > 0
-
-
-def test_csv_round_trip(tiny_report):
-    text = report_to_csv(tiny_report)
-    parsed = report_from_csv(text)
-    assert parsed == tiny_report
-    assert report_to_csv(parsed) == text
 
 
 def test_table_and_plot_output(tiny_report):

@@ -148,6 +148,16 @@ class TestExitCodes:
     def test_usage(self):
         assert run_cli(["solve", "--format", "json"], P4).returncode == 1
 
+    def test_missing_input_file(self, tmp_path):
+        res = run_cli(["solve", "--input", str(tmp_path / "absent.edges")])
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1, res.stderr
+
+    def test_unwritable_output_path(self, tmp_path):
+        res = run_cli(["path", "--dump-dag", str(tmp_path / "absent" / "dag.dot")], P6)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error: ") and len(res.stderr.splitlines()) == 1, res.stderr
+
 
 class TestBench:
     def test_small_bench(self, tmp_path):

@@ -218,7 +218,7 @@ class TestRequirements:
                     bmask = ball_mask(dm, v, p)
                     frontier = 0
                     for z in iter_bits(bmask):
-                        frontier |= g.adj_bits[z]
+                        frontier |= bits_of(g.adj[z])
                     frontier &= full & ~bmask
                     for c in range(1, rt.components(v, p) + 1):
                         slice_c = frontier & rt.members(v, p, c)
@@ -254,7 +254,7 @@ class TestBallLaws:
                                 y = ball_mask(dm, b, q)
                                 if x & y:
                                     continue
-                                touch = any(g.adj_bits[z] & y for z in iter_bits(x))
+                                touch = any(bits_of(g.adj[z]) & y for z in iter_bits(x))
                                 assert touch == (int(dm.dist[a, b]) == p + q + 1)
 
     def test_laws_random(self, small_random_graphs):
@@ -270,7 +270,7 @@ class TestBallLaws:
                             y = ball_mask(dm, b, q)
                             assert (x & y != 0) == (d <= p + q)
                             if not x & y:
-                                touch = any(g.adj_bits[z] & y for z in iter_bits(x))
+                                touch = any(bits_of(g.adj[z]) & y for z in iter_bits(x))
                                 assert touch == (d == p + q + 1)
 
 

@@ -45,11 +45,19 @@ def tables(g):
     return dm, rt, rq
 
 
-def source_mask_containing(dm, rho, u):
-    """Anchored sources: radial-side states whose ball contains u."""
-    mask = np.zeros((dm.n, rho, 3), dtype=bool)
-    mask[:, :, 0] = dm.dist[:, u][:, None] <= np.arange(1, rho + 1)[None, :]
-    return mask.reshape(-1)
+def balls_containing(dm, rho, u):
+    """Anchored starts: start[v, p - 1] iff the ball (v, p) contains u."""
+    return dm.dist[:, u][:, None] <= np.arange(1, rho + 1)[None, :]
+
+
+def allowed_sources(dag, start):
+    """Source states whose ball is marked in start (all sources without one)."""
+    sources = dag.is_source.copy()
+    if start is not None:
+        for sid in np.flatnonzero(sources).tolist():
+            v, p, _ = dag.decode(sid)
+            sources[sid] = start[v, p - 1]
+    return sources
 
 
 def tight_predecessors(dag, sources):
@@ -130,8 +138,8 @@ class TestArcTest:
         xt = ball_mask(dm, 4, 1)
         r_side = rt.members(1, 1, sigma.right)
         l_side = rt.members(4, 1, tau.left)
-        fr = bits_of(w for z in iter_bits(xs) for w in iter_bits(g.adj_bits[z])) & r_side
-        fl = bits_of(w for z in iter_bits(xt) for w in iter_bits(g.adj_bits[z])) & l_side
+        fr = bits_of(w for z in iter_bits(xs) for w in g.adj[z]) & r_side
+        fl = bits_of(w for z in iter_bits(xt) for w in g.adj[z]) & l_side
         assert fr & ~xt == 0 and fl & ~xs == 0
         assert int(dm.dist[1, 4]) == 1 + 1 + 1
 
@@ -239,8 +247,10 @@ class TestSolvePath:
             (solve_path, barbell_graph(15), ((4, 1), (7, 1), (10, 1))),
             (solve_path, random_tree(40, 1), ((5, 9),)),
             (solve_path_anchored, path_graph(11), ((1, 1), (4, 1), (8, 2))),
+            (solve_path_anchored, cycle_graph(14), ((2, 1), (9, 5))),
+            (solve_path_anchored, barbell_graph(15), ((4, 1), (7, 1), (10, 1))),
         ],
-        ids=["path20", "cycle14", "barbell15", "tree40", "anchored-path11"],
+        ids=["path20", "cycle14", "barbell15", "tree40", "anchored-path11", "anchored-cycle14", "anchored-barbell15"],
     )
     def test_tie_break_pinned(self, solver, g, want):
         # exact assignments among many tied optima: the chain read-back
@@ -254,10 +264,10 @@ class TestSolvePath:
         for g, anchor in cases:
             dm, rt, rq = tables(g)
             dag = build_dag(g, dm, rt, rq)
-            mask = None if anchor is None else source_mask_containing(dm, rt.rho, anchor)
-            sources = dag.is_source if mask is None else dag.is_source & mask
+            start = None if anchor is None else balls_containing(dm, rt.rho, anchor)
+            sources = allowed_sources(dag, start)
             d, pred = tight_predecessors(dag, sources)
-            cost, chain = _solve_states(dm, rt, rq, mask)
+            cost, chain = _solve_states(dm, rt, rq, start)
             sinks = [sid for sid in np.flatnonzero(dag.is_sink).tolist() if sid in d]
             assert cost == min(d[sid] for sid in sinks)
             assert chain[-1] == min(sid for sid in sinks if d[sid] == cost)
