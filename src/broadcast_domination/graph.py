@@ -218,8 +218,9 @@ def is_connected(g: Graph) -> bool:
     return max(bfs_distances(g, 0)) < g.n
 
 
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Subgraph on the given ascending vertices, renumbered densely.
+def induced_subgraph(g: Graph, keep: np.ndarray | list[int]) -> tuple[Graph, list[int]]:
+    """Subgraph on the given ascending vertices (an array or a list),
+    renumbered densely.
 
     Returns the subgraph together with the map from new index back to the
     original vertex.  The result may be disconnected.
