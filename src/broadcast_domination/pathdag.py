@@ -242,6 +242,14 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
     return StateDag(g.n, rt.rho, *states, arc_src=arc_src[order], arc_dst=arc_dst[order])
 
 
+def _allowed_sources(is_source: np.ndarray, start: np.ndarray | None, rho: int) -> np.ndarray:
+    """is_source, narrowed to the balls marked in start when one is given."""
+    if start is None:
+        return is_source
+    v, p, _ = _decode(np.arange(is_source.size), rho)
+    return is_source & start[v, p - 1]
+
+
 def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, start: np.ndarray | None = None):
     """Shortest source-to-sink chain by a pull DP in left-size order.
 
@@ -268,8 +276,8 @@ def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, 
     """
     states = _dense_tables(rt)
     exists, left_size, is_source, is_sink = states
-    center, power, _ = _decode(np.arange(exists.size), rt.rho)
-    sources = is_source if start is None else is_source & start[center, power - 1]
+    sources = _allowed_sources(is_source, start, rt.rho)
+    power = _decode(np.arange(exists.size), rt.rho)[1]
     best = np.full(exists.size, _INF << 32 | _NO_PRED, dtype=np.int64)
     best[sources] = (power[sources] << 32) + _NO_PRED
     for dst, src in _in_arcs(dm, rt, req, states):

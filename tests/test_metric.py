@@ -2,10 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree
 from broadcast_domination.graph import Graph, apsp, bits_of, iter_bits
-from broadcast_domination.metric import requirement_table, residual_decompositions
+from broadcast_domination.metric import _ShellSets, requirement_table, residual_decompositions
 from broadcast_domination.verify import ball_mask
 
 from conftest import connected_graphs, random_connected_graph
@@ -57,6 +59,46 @@ def label_graphs(small_random_graphs):
     larger = [path_graph(40), cycle_graph(31), barbell_graph(30)]
     larger += [random_connected_graph(40, seed) for seed in (11, 12, 13)]
     return small_random_graphs + larger
+
+
+class TestShellSets:
+    def test_add_counts_merges(self):
+        d = _ShellSets(5)
+        assert d.add(0, [1, 2]) == 0  # no neighbor added yet
+        assert d.add(2, [0, 1]) == 1
+        assert d.add(4, [3]) == 0
+        assert d.add(1, [0, 2, 4]) == 2  # 2 is already in 0's class
+        p = d.parent
+        assert p[0] == p[1] == p[2] == p[4] == p[p[0]] and p[3] == -1
+
+    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30), st.permutations(range(10)))
+    @settings(max_examples=50, deadline=None)
+    def test_partition_matches_naive(self, pairs, order):
+        # after each add, parent labels exactly the components of the graph
+        # induced on the vertices added so far, and add returns the drop in
+        # their count, plus one
+        adj = {v: {b for a, b in pairs if a == v} | {a for a, b in pairs if b == v} for v in range(10)}
+        d = _ShellSets(10)
+        added: set[int] = set()
+        comps = 0
+        for x in order:
+            merged = d.add(x, sorted(adj[x] - {x}))
+            added.add(x)
+            naive = {}
+            for s in sorted(added):
+                if s not in naive:
+                    stack = [s]
+                    naive[s] = s
+                    while stack:
+                        z = stack.pop()
+                        for y in adj[z] & added:
+                            if y not in naive:
+                                naive[y] = s
+                                stack.append(y)
+            assert merged == comps + 1 - len(set(naive.values()))
+            comps = len(set(naive.values()))
+            assert all((d.parent[a] == d.parent[b]) == (naive[a] == naive[b]) for a in added for b in added)
+            assert all(d.parent[z] == -1 for z in range(10) if z not in added)
 
 
 class TestBall:
