@@ -238,7 +238,7 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
         dsts.append(dst)
     arc_src, arc_dst = np.concatenate(srcs), np.concatenate(dsts)
     v, p, _ = _decode(arc_src, rt.rho)
-    order = np.lexsort((arc_dst, p, v))
+    order = np.argsort(_state_id(v, p, 0, rt.rho) * states[0].size + arc_dst)
     return StateDag(g.n, rt.rho, *states, arc_src=arc_src[order], arc_dst=arc_dst[order])
 
 
