@@ -237,8 +237,9 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
         srcs.append(src)
         dsts.append(dst)
     arc_src, arc_dst = np.concatenate(srcs), np.concatenate(dsts)
-    v, p, _ = _decode(arc_src, rt.rho)
-    order = np.argsort(_state_id(v, p, 0, rt.rho) * states[0].size + arc_dst)
+    del srcs, dsts  # batch copies, freed before the sort key's temporaries
+    # the label-0 id of each source's ball, so ids of one ball sort together
+    order = np.argsort(_state_id(*_decode(arc_src, rt.rho)[:2], 0, rt.rho) * states[0].size + arc_dst)
     return StateDag(g.n, rt.rho, *states, arc_src=arc_src[order], arc_dst=arc_dst[order])
 
 
