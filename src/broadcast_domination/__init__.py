@@ -7,7 +7,7 @@ in O(n^5) overall.  A brute-force oracle, an anchored baseline, generators,
 and a benchmark harness round out the package.
 """
 
-from .anchored import AnchoredRun, anchored_runs, solve_path_anchored
+from .anchored import solve_path_anchored
 from .generators import FAMILIES, GeneratorSpec, SplitMix64, generate
 from .graph import (
     DisconnectedGraphError,
@@ -20,7 +20,6 @@ from .graph import (
     bits_of,
     induced_subgraph,
     is_connected,
-    iter_bits,
     parse_graph,
     render_graph,
 )

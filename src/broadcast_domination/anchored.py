@@ -4,10 +4,10 @@ The prior-generation path-case algorithm fixes a leftmost anchor vertex and
 solves one acyclic digraph per anchor.  This baseline reproduces that shape
 on top of the oriented-ball machinery: for every anchor u it runs the
 path-case DP with chains allowed to start only at balls that contain u,
-then takes the best result over all anchors.  Each run enumerates every
-in-arc again; that is deliberate, not an oversight: it restores the extra
-factor n that the anchor loop costs, which is exactly the difference the
-benchmark measures.
+then takes the first cheapest result over all anchors.  Each run
+enumerates every in-arc again; that is deliberate, not an oversight: it
+restores the extra factor n that the anchor loop costs, which is exactly
+the difference the benchmark measures.
 The tables (distances, residual components, requirements) and the step
 from DP chain to checked broadcast are solve_path's own, so only the
 path-case strategy differs.
@@ -15,45 +15,31 @@ path-case strategy differs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph
 from .pathdag import _path_tables, _solve_broadcast
 from .verify import Broadcast
 
-__all__ = ["AnchoredRun", "anchored_runs", "solve_path_anchored"]
+__all__ = ["solve_path_anchored"]
 
 
-@dataclass(frozen=True)
-class AnchoredRun:
-    anchor: int
-    cost: int
-
-
-def anchored_runs(h: Graph) -> tuple[Broadcast, list[AnchoredRun]]:
-    """Solve one start-restricted digraph per anchor; the first cheapest
-    anchor's broadcast wins.
+def solve_path_anchored(h: Graph) -> Broadcast:
+    """Baseline path-case solve: one start-restricted digraph per anchor;
+    the first cheapest anchor's broadcast wins.
 
     Every anchor lies in the radial ball of a center, so every run solves;
-    the minimum over anchors equals the unrestricted optimum.
+    the minimum over anchors equals the unrestricted optimum.  The
+    one-vertex graph gets the zero broadcast by convention.
     """
     if h.n == 1:
-        return Broadcast(()), [AnchoredRun(0, 0)]
+        return Broadcast(())
     dm, rt, req = _path_tables(h, "anchored solver")
     powers = np.arange(1, rt.rho + 1)
-    runs: list[AnchoredRun] = []
     best = None
     for u in range(h.n):
         contains_u = dm.dist[:, u, None] <= powers  # (n, rho): balls containing u
         bc = _solve_broadcast(dm, rt, req, contains_u)  # in-arcs again per anchor, on purpose
-        runs.append(AnchoredRun(u, bc.cost))
         if best is None or bc.cost < best.cost:
             best = bc
-    return best, runs
-
-
-def solve_path_anchored(h: Graph) -> Broadcast:
-    """Baseline path-case solve: min over per-anchor restricted digraphs."""
-    return anchored_runs(h)[0]
+    return best

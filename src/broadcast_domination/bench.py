@@ -118,6 +118,8 @@ def run_bench(
     warmup: int = 0,
 ) -> BenchReport:
     """Run both solvers on every instance and aggregate speedups per family."""
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     new_fn = _solver_fn(task, SOLVER_NEW)
     base_fn = _solver_fn(task, SOLVER_BASELINE)
     rows: list[BenchRow] = []

@@ -17,12 +17,11 @@ import time
 from pathlib import Path
 
 from .anchored import solve_path_anchored
-from .bench import BenchTimeout, format_table, report_to_csv, run_bench, speedup_csv
+from .bench import TASKS, BenchTimeout, format_table, report_to_csv, run_bench, speedup_csv
 from .generators import FAMILIES, GeneratorSpec, generate
 from .graph import (
     DisconnectedGraphError,
     Graph,
-    GraphFormatError,
     GraphTooLargeError,
     InternalError,
     apsp,
@@ -64,8 +63,6 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_graph(args) -> Graph:
-    if args.format != "edgelist":
-        raise GraphFormatError(f"unsupported format {args.format!r}")
     return parse_graph(_read_text(args.input))
 
 
@@ -176,6 +173,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
+    if args.timeout is not None and not args.timeout > 0:
+        raise ValueError(f"--timeout must be positive, got {args.timeout}")
     families = args.family or ["path", "cycle", "star", "wheel"]
     sizes = [int(s) for s in args.n.split(",")] if args.n else [12, 16, 20]
     specs = [GeneratorSpec(family=f, n=n, seed=args.seed) for f in families for n in sizes]
@@ -194,7 +195,6 @@ def build_parser() -> _Parser:
 
     def add_io(p):
         p.add_argument("--input", default=None, help="edge-list file; default stdin")
-        p.add_argument("--format", default="edgelist", help="input format (only 'edgelist')")
 
     p = sub.add_parser("solve", help="optimal broadcast domination")
     add_io(p)
@@ -235,7 +235,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", default=None, help="comma list of sizes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--task", default="optimal", choices=("optimal", "path"))
+    p.add_argument("--task", default="optimal", choices=TASKS)
     p.add_argument(
         "--timeout", type=float, default=None, help="abort the run after a solve slower than this many seconds"
     )
@@ -253,7 +253,7 @@ def main(argv=None) -> int:
     except (DisconnectedGraphError, GraphTooLargeError, OracleLimitError, BenchTimeout) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INFEASIBLE
-    except (ValueError, OSError) as exc:  # GraphFormatError; unreadable or unwritable files
+    except (ValueError, OSError) as exc:  # GraphFormatError, bad flag values; unreadable or unwritable files
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except InternalError as exc:

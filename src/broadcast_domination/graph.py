@@ -2,15 +2,16 @@
 
 Vertices are dense integers 0..n-1.  Where a caller needs vertex sets
 (verification, the oracle), they are plain Python ints used as bit masks
-(bit z set = vertex z present), which keeps unions, intersections, and
-popcounts word-parallel even when many of them are built.
+(bit z set = vertex z present, packed by bits_of), which keeps unions,
+intersections, and popcounts word-parallel even when many of them are
+built.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +30,6 @@ __all__ = [
     "is_connected",
     "induced_subgraph",
     "bits_of",
-    "iter_bits",
 ]
 
 
@@ -72,24 +72,16 @@ def bits_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the vertex indices present in a bit mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Adjacency is one sorted neighbor tuple per vertex.
+    Adjacency is one sorted neighbor tuple per vertex and is all that is
+    stored; edges() derives the edge list from it.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-    edge_count: int
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]], strict: bool = False) -> Graph:
@@ -118,7 +110,7 @@ class Graph:
             nbrs[u].append(v)
             nbrs[v].append(u)
         adj = tuple(tuple(sorted(a)) for a in nbrs)
-        return cls(n=n, adj=adj, edge_count=len(seen))
+        return cls(n=n, adj=adj)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]

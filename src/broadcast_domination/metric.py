@@ -44,22 +44,6 @@ class ResidualTable:
     comp_label: np.ndarray  # (n, rho+1, n) int16
     comp_size: np.ndarray  # (n, rho+1, 3) int32; index = label
 
-    def components(self, v: int, p: int) -> int:
-        return int(self.kappa[v, p])
-
-    def label_of(self, v: int, p: int, z: int) -> int:
-        return int(self.comp_label[v, p, z])
-
-    def size_of(self, v: int, p: int, label: int) -> int:
-        return int(self.comp_size[v, p, label])
-
-    def members(self, v: int, p: int, label: int) -> int:
-        """Bit mask of the component, built on demand."""
-        m = 0
-        for z in (self.comp_label[v, p] == label).nonzero()[0]:
-            m |= 1 << int(z)
-        return m
-
 
 class _ShellSets:
     """Disjoint sets of the vertices outside a shrinking ball, grown one
@@ -165,7 +149,6 @@ class RequirementTable:
     which is the constant-time form of the arc coverage condition.
     """
 
-    rho: int
     req: np.ndarray  # (n, rho+1, 2, n) int16
 
     def value(self, v: int, p: int, label: int, w: int) -> int:
@@ -201,4 +184,4 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
         zs, key = zs[order], key[order]
         starts = np.flatnonzero(np.diff(key, prepend=-1))
         rows[key[starts]] = np.maximum.reduceat(dist[zs], starts, axis=0)
-    return RequirementTable(rho=rho, req=req)
+    return RequirementTable(req=req)

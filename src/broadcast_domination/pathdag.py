@@ -69,10 +69,6 @@ class State:
     right: int
     left_size: int
 
-    @property
-    def weight(self) -> int:
-        return self.power
-
 
 @dataclass(eq=False)
 class StateDag:
@@ -92,12 +88,6 @@ class StateDag:
     arc_src: np.ndarray  # int64
     arc_dst: np.ndarray  # int64
 
-    def state_id(self, v: int, p: int, left: int) -> int:
-        return _state_id(v, p, left, self.rho)
-
-    def decode(self, sid: int) -> tuple[int, int, int]:
-        return _decode(sid, self.rho)
-
     @property
     def num_states(self) -> int:
         return int(self.exists.sum())
@@ -110,7 +100,7 @@ class StateDag:
         """The state behind an id.  A sink's right side is empty; otherwise
         the right label is the other one of the orientation pair, (0,1) or
         (1,2)/(2,1)."""
-        v, p, left = self.decode(sid)
+        v, p, left = _decode(sid, self.rho)
         right = 0 if self.is_sink[sid] else (1 if left == 0 else 3 - left)
         return State(center=v, power=p, left=left, right=right, left_size=int(self.left_size[sid]))
 
@@ -150,12 +140,11 @@ def enumerate_states(rt: ResidualTable) -> list[State]:
             if k == 0:
                 out.append(State(v, p, 0, 0, 0))
             elif k == 1:
-                c = rt.size_of(v, p, 1)
                 out.append(State(v, p, 0, 1, 0))
-                out.append(State(v, p, 1, 0, c))
+                out.append(State(v, p, 1, 0, int(rt.comp_size[v, p, 1])))
             elif k == 2:
-                out.append(State(v, p, 1, 2, rt.size_of(v, p, 1)))
-                out.append(State(v, p, 2, 1, rt.size_of(v, p, 2)))
+                out.append(State(v, p, 1, 2, int(rt.comp_size[v, p, 1])))
+                out.append(State(v, p, 2, 1, int(rt.comp_size[v, p, 2])))
     return out
 
 
@@ -174,9 +163,9 @@ def arc_test(sigma: State, tau: State, dm: DistanceMatrix, rt: ResidualTable, re
         return False
     if int(dm.dist[sigma.center, tau.center]) != sigma.power + tau.power + 1:
         return False
-    if rt.label_of(sigma.center, sigma.power, tau.center) != sigma.right:
+    if rt.comp_label[sigma.center, sigma.power, tau.center] != sigma.right:
         return False
-    if rt.label_of(tau.center, tau.power, sigma.center) != tau.left:
+    if rt.comp_label[tau.center, tau.power, sigma.center] != tau.left:
         return False
     if req.value(sigma.center, sigma.power, sigma.right, tau.center) > tau.power:
         return False

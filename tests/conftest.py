@@ -1,17 +1,32 @@
 """Shared helpers: exhaustive small-graph enumeration, seeded randoms, a
-hypothesis strategy for connected graphs and a ball-count multipacking
-check."""
+hypothesis strategy for connected graphs, a ball-count multipacking check
+and bit-mask vertex sets."""
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterator
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from broadcast_domination.generators import SplitMix64, random_tree
 from broadcast_domination.graph import Graph, bits_of, is_connected
 from broadcast_domination.verify import ball_mask
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Yield the vertex indices present in a bit mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def members(rt, v, p, label) -> int:
+    """Bit mask of the residual component of B(v, p) with this label."""
+    return bits_of(np.flatnonzero(rt.comp_label[v, p] == label).tolist())
 
 
 def connected_graphs(n):

@@ -18,7 +18,7 @@ import pytest
 from broadcast_domination.anchored import solve_path_anchored
 from broadcast_domination.bench import SOLVER_BASELINE, SOLVER_NEW, run_bench
 from broadcast_domination.generators import GeneratorSpec, cycle_graph, path_graph
-from broadcast_domination.graph import apsp, bits_of, induced_subgraph, iter_bits
+from broadcast_domination.graph import apsp, bits_of, induced_subgraph
 from broadcast_domination.metric import requirement_table, residual_decompositions
 from broadcast_domination.oracle import iter_broadcasts_of_cost, oracle_gamma_b, oracle_gamma_path
 from broadcast_domination.pathdag import build_dag, solve_path
@@ -41,7 +41,7 @@ from broadcast_domination.verify import (
     verify_path_shaped,
 )
 
-from conftest import connected_graphs, is_multipacking, random_suite
+from conftest import connected_graphs, is_multipacking, iter_bits, random_suite
 
 
 def _passed(label: str, detail: str) -> None:

@@ -49,3 +49,8 @@ def test_path_task():
     # three power-1 balls wrap C9 into a triangle contact graph, so the
     # path-shaped optimum is one more than the general optimum
     assert costs[SOLVER_NEW] == costs[SOLVER_BASELINE] == oracle_gamma_path(cycle_graph(9)).cost == 4
+
+
+def test_reps_below_one_rejected():
+    with pytest.raises(ValueError, match="reps"):
+        run_bench([GeneratorSpec("path", 8)], reps=0)

@@ -3,6 +3,7 @@ import sys
 
 P4 = "4\n0 1\n1 2\n2 3\n"
 P6 = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
+C9 = "9\n" + "".join(f"{i} {(i + 1) % 9}\n" for i in range(9))
 
 
 def run_cli(args, stdin=""):
@@ -100,6 +101,26 @@ class TestVerify:
         out = run_cli(["verify", "--broadcast", str(bfile), "--check", "dominating"], P4).stdout
         assert "dominating" in out and "efficient" not in out
 
+    def test_shape_witness(self, tmp_path):
+        # three radius-1 balls on C9: efficient, but the contact graph is a
+        # cycle, and ball 0 is the reported witness
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("0 1\n3 1\n6 1\n")
+        res = run_cli(["verify", "--broadcast", str(bfile)], C9)
+        fields = kv(res.stdout)
+        assert res.returncode == 0
+        assert fields["efficient"] == fields["dominating"] == "true"
+        assert fields["path_shaped"] == "false" and fields["witness_shape"] == "0"
+
+    def test_overlap_witness(self, tmp_path):
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("0 1\n1 1\n")
+        res = run_cli(["verify", "--broadcast", str(bfile)], C9)
+        fields = kv(res.stdout)
+        assert res.returncode == 0
+        assert fields["efficient"] == "false" and fields["witness_overlap"] == "0,1"
+        assert fields["path_shaped"] == "n/a" and "witness_shape" not in fields
+
     def test_unknown_check_rejected(self, tmp_path):
         bfile = tmp_path / "b.txt"
         bfile.write_text("1 2\n")
@@ -147,6 +168,7 @@ class TestExitCodes:
 
     def test_usage(self):
         assert run_cli(["solve", "--format", "json"], P4).returncode == 1
+        assert run_cli(["solve", "--format", "edgelist"], P4).returncode == 1  # no --format flag
 
     def test_missing_input_file(self, tmp_path):
         res = run_cli(["solve", "--input", str(tmp_path / "absent.edges")])
@@ -179,6 +201,15 @@ class TestBench:
         assert rows[0] == "family,n,seed,task,solver,reps,median_ms,cost,threads"
         assert len(rows) == 5  # header + 2 instances x 2 solvers
         assert plot.read_text().startswith("family,n,seed,task,speedup")
+
+    def test_bad_reps_and_timeout_rejected(self):
+        # usage errors before any solve: a reps count below 1 has no median,
+        # and a limit that is not positive rejects every solve
+        for flag, value in (("--reps", "0"), ("--reps", "-2"), ("--timeout", "-1"), ("--timeout", "0")):
+            args = ["bench", "--family", "path", "--n", "8", "--reps", "1", flag, value]
+            res = run_cli(args)
+            assert res.returncode == 1 and res.stdout == "", (flag, value)
+            assert res.stderr.startswith(f"error: {flag} ") and len(res.stderr.splitlines()) == 1, res.stderr
 
     def test_timeout_exit_code(self):
         res = run_cli(["bench", "--family", "path", "--n", "8", "--reps", "1", "--timeout", "1e-9"])

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree
-from broadcast_domination.graph import Graph, apsp, bits_of, iter_bits
+from broadcast_domination.graph import Graph, apsp, bits_of
 from broadcast_domination.metric import _ShellSets, requirement_table, residual_decompositions
 from broadcast_domination.verify import ball_mask
 
-from conftest import connected_graphs, random_connected_graph
+from conftest import connected_graphs, iter_bits, members, random_connected_graph
 
 
 def path(n):
@@ -123,17 +123,17 @@ class TestBall:
 class TestResidualDecompositions:
     def test_p4_inner_ball(self):
         _, rt, _ = tables(path(4))
-        assert rt.components(1, 1) == 1
-        assert rt.label_of(1, 1, 3) == 1
-        assert rt.size_of(1, 1, 1) == 1
-        assert rt.members(1, 1, 1) == bits_of([3])
+        assert rt.kappa[1, 1] == 1
+        assert rt.comp_label[1, 1, 3] == 1
+        assert rt.comp_size[1, 1, 1] == 1
+        assert members(rt, 1, 1, 1) == bits_of([3])
 
     def test_p5_center_ball_splits(self):
         _, rt, _ = tables(path(5))
-        assert rt.components(2, 1) == 2
-        assert rt.label_of(2, 1, 0) == 1  # first touch: vertex 0
-        assert rt.label_of(2, 1, 4) == 2
-        assert rt.size_of(2, 1, 1) == rt.size_of(2, 1, 2) == 1
+        assert rt.kappa[2, 1] == 2
+        assert rt.comp_label[2, 1, 0] == 1  # first touch: vertex 0
+        assert rt.comp_label[2, 1, 4] == 2
+        assert rt.comp_size[2, 1, 1] == rt.comp_size[2, 1, 2] == 1
 
     def test_p5_kappa_and_sizes(self):
         _, rt, _ = tables(path(5))
@@ -148,17 +148,10 @@ class TestResidualDecompositions:
         ]
         assert not rt.comp_size[:, :, 0].any()
 
-    def test_star_leaf_ball_discarded(self):
-        g = star(5)
-        _, rt, _ = tables(g)
-        assert rt.components(1, 1) == 4  # four isolated leaves
-        assert rt.components(1, 1) > 2  # no states are built for it
-        assert rt.components(0, 1) == 0  # center ball is radial
-
     def test_star_discarded_row(self):
         _, rt, _ = tables(star(5))
-        # a leaf ball leaves four components: kappa is kept, sizes and
-        # labels are not
+        # a leaf ball leaves four isolated leaves, so no states are built
+        # for it: kappa is kept, sizes and labels are not
         assert rt.kappa[1, 1] == 4
         assert not rt.comp_size[1, 1].any()
         assert not rt.comp_label[1, 1].any()
@@ -219,7 +212,7 @@ class TestResidualDecompositions:
                 for p in range(1, dm.radius + 1):
                     mask = ball_mask(dm, v, p)
                     want, count = bfs_component_labels(g, mask)
-                    assert rt.components(v, p) == count
+                    assert rt.kappa[v, p] == count
                     if count <= 2:
                         got = rt.comp_label[v, p].tolist()
                         assert got == want
@@ -229,10 +222,10 @@ class TestResidualDecompositions:
             dm, rt, _ = tables(g)
             for v in range(g.n):
                 for p in range(1, dm.radius + 1):
-                    if rt.components(v, p) > 2:
+                    if rt.kappa[v, p] > 2:
                         continue
                     outside = g.n - int(np.count_nonzero(dm.dist[v] <= p))
-                    total = sum(rt.size_of(v, p, c) for c in range(1, rt.components(v, p) + 1))
+                    total = sum(int(rt.comp_size[v, p, c]) for c in range(1, rt.kappa[v, p] + 1))
                     assert total == outside
 
 
@@ -240,7 +233,7 @@ class TestRequirements:
     def test_p6_frontier_examples(self):
         _, rt, rq = tables(path(6))
         # ball (1,1): residual components {3,4,5} and nothing else on the left
-        lab = rt.label_of(1, 1, 3)
+        lab = int(rt.comp_label[1, 1, 3])
         assert rq.value(1, 1, lab, 4) == 1  # frontier {3}, dist(4,3)=1
         assert rq.value(1, 1, lab, 5) == 2
 
@@ -255,15 +248,15 @@ class TestRequirements:
             full = g.full_mask
             for v in range(g.n):
                 for p in range(1, dm.radius + 1):
-                    if rt.components(v, p) not in (1, 2):
+                    if rt.kappa[v, p] not in (1, 2):
                         continue
                     bmask = ball_mask(dm, v, p)
                     frontier = 0
                     for z in iter_bits(bmask):
                         frontier |= bits_of(g.adj[z])
                     frontier &= full & ~bmask
-                    for c in range(1, rt.components(v, p) + 1):
-                        slice_c = frontier & rt.members(v, p, c)
+                    for c in range(1, rt.kappa[v, p] + 1):
+                        slice_c = frontier & members(rt, v, p, c)
                         for w in range(g.n):
                             for q in range(1, dm.radius + 1):
                                 covered = slice_c & ~ball_mask(dm, w, q) == 0

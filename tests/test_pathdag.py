@@ -10,11 +10,13 @@ import pytest
 
 from broadcast_domination.anchored import solve_path_anchored
 from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree
-from broadcast_domination.graph import Graph, apsp, bits_of, is_connected, iter_bits
+from broadcast_domination.graph import Graph, apsp, bits_of, is_connected
 from broadcast_domination.metric import requirement_table, residual_decompositions
 from broadcast_domination.oracle import oracle_gamma_path
 from broadcast_domination.pathdag import (
+    _decode,
     _solve_states,
+    _state_id,
     arc_test,
     build_dag,
     dag_to_dot,
@@ -23,7 +25,7 @@ from broadcast_domination.pathdag import (
 )
 from broadcast_domination.verify import ball_mask, verify_dominating, verify_efficient, verify_path_shaped
 
-from conftest import connected_graphs, random_connected_graph
+from conftest import connected_graphs, iter_bits, members, random_connected_graph
 
 
 def path(n):
@@ -55,7 +57,7 @@ def allowed_sources(dag, start):
     sources = dag.is_source.copy()
     if start is not None:
         for sid in np.flatnonzero(sources).tolist():
-            v, p, _ = dag.decode(sid)
+            v, p, _ = _decode(sid, dag.rho)
             sources[sid] = start[v, p - 1]
     return sources
 
@@ -64,7 +66,7 @@ def tight_predecessors(dag, sources):
     """DP values and predecessors by the two-pass rule: relax every arc in
     order of its source's left size, then give each state the smallest
     source of an arc with d[src] + power[dst] == d[dst]."""
-    power = lambda sid: dag.decode(sid)[1]
+    power = lambda sid: _decode(sid, dag.rho)[1]
     d = {sid: power(sid) for sid in np.flatnonzero(sources).tolist()}
     arcs = sorted(zip(dag.arc_src.tolist(), dag.arc_dst.tolist()), key=lambda a: dag.left_size[a[0]])
     for a, b in arcs:
@@ -90,7 +92,7 @@ class TestEnumerateStates:
         _, rt, _ = tables(path(4))
         states = enumerate_states(rt)
         s = find_state(states, 1, 2, 0, 0)
-        assert s is not None and s.left_size == 0 and s.weight == 2
+        assert s is not None and s.left_size == 0 and s.power == 2
 
     def test_p4_endpoint_pair(self):
         _, rt, _ = tables(path(4))
@@ -119,7 +121,7 @@ class TestEnumerateStates:
             expect = 0
             for v in range(g.n):
                 for p in range(1, dm.radius + 1):
-                    k = rt.components(v, p)
+                    k = rt.kappa[v, p]
                     expect += 1 if k == 0 else (2 if k <= 2 else 0)
             assert len(states) == expect
             assert len(states) <= 2 * g.n * dm.radius + g.n
@@ -136,8 +138,8 @@ class TestArcTest:
         # explicit set-inclusion oracle for the frontier conditions
         xs = ball_mask(dm, 1, 1)
         xt = ball_mask(dm, 4, 1)
-        r_side = rt.members(1, 1, sigma.right)
-        l_side = rt.members(4, 1, tau.left)
+        r_side = members(rt, 1, 1, sigma.right)
+        l_side = members(rt, 4, 1, tau.left)
         fr = bits_of(w for z in iter_bits(xs) for w in g.adj[z]) & r_side
         fl = bits_of(w for z in iter_bits(xt) for w in g.adj[z]) & l_side
         assert fr & ~xt == 0 and fl & ~xs == 0
@@ -165,8 +167,8 @@ class TestBuildDag:
         g = path(6)
         dm, rt, rq = tables(g)
         dag = build_dag(g, dm, rt, rq)
-        wanted_src = dag.state_id(1, 1, 0)
-        wanted_dst = dag.state_id(4, 1, 1)
+        wanted_src = _state_id(1, 1, 0, dag.rho)
+        wanted_dst = _state_id(4, 1, 1, dag.rho)
         pairs = set(zip(dag.arc_src.tolist(), dag.arc_dst.tolist()))
         assert (wanted_src, wanted_dst) in pairs
 
@@ -178,11 +180,12 @@ class TestBuildDag:
             dag = build_dag(g, dm, rt, rq)
             got = set(zip(dag.arc_src.tolist(), dag.arc_dst.tolist()))
             states = enumerate_states(rt)
+            sid = lambda s: _state_id(s.center, s.power, s.left, dag.rho)
             want = set()
             for s in states:
                 for t in states:
                     if arc_test(s, t, dm, rt, rq):
-                        want.add((dag.state_id(s.center, s.power, s.left), dag.state_id(t.center, t.power, t.left)))
+                        want.add((sid(s), sid(t)))
             assert got == want
 
     def test_arcs_grow_left_size(self, small_random_graphs):
