@@ -148,6 +148,13 @@ class TestResidualDecompositions:
         ]
         assert not rt.comp_size[:, :, 0].any()
 
+    def test_star_leaf_ball_discarded(self):
+        g = star(5)
+        _, rt, _ = tables(g)
+        assert rt.kappa[1, 1] == 4  # four isolated leaves
+        assert rt.kappa[1, 1] > 2  # no states are built for it
+        assert rt.kappa[0, 1] == 0  # center ball is radial
+
     def test_star_discarded_row(self):
         _, rt, _ = tables(star(5))
         # a leaf ball leaves four isolated leaves, so no states are built
