@@ -82,12 +82,11 @@ class BenchReport:
 
 
 def _solver_fn(task: str, solver: str) -> Callable[[Graph], object]:
+    path_solver = solve_path if solver == SOLVER_NEW else solve_path_anchored
     if task == "optimal":
-        if solver == SOLVER_NEW:
-            return lambda g: solve_optimal(g, path_solver=solve_path)
-        return lambda g: solve_optimal(g, path_solver=solve_path_anchored)
+        return lambda g: solve_optimal(g, path_solver=path_solver)
     if task == "path":
-        return solve_path if solver == SOLVER_NEW else solve_path_anchored
+        return path_solver
     raise ValueError(f"unknown task {task!r}; known: {', '.join(TASKS)}")
 
 

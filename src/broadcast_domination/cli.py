@@ -29,7 +29,7 @@ from .graph import (
     render_graph,
 )
 from .metric import requirement_table, residual_decompositions
-from .oracle import OracleLimitError, oracle_gamma_b, oracle_gamma_path
+from .oracle import DEFAULT_LIMIT, OracleLimitError, oracle_gamma_b, oracle_gamma_path
 from .pathdag import build_dag, dag_to_dot, solve_path
 from .peel import solve_optimal
 from .verify import full_verdict, parse_broadcast
@@ -117,6 +117,8 @@ def cmd_path(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.oracle_limit < 1:
+        raise ValueError(f"--oracle-limit must be at least 1, got {args.oracle_limit}")
     g = _load_graph(args)
     fn = oracle_gamma_path if args.path_shaped else oracle_gamma_b
     res = fn(g, limit=args.oracle_limit)
@@ -178,7 +180,12 @@ def cmd_bench(args) -> int:
     if args.timeout is not None and not args.timeout > 0:
         raise ValueError(f"--timeout must be positive, got {args.timeout}")
     families = args.family or ["path", "cycle", "star", "wheel"]
-    sizes = [int(s) for s in args.n.split(",")] if args.n else [12, 16, 20]
+    sizes = []
+    for item in (args.n or "12,16,20").split(","):
+        try:
+            sizes.append(int(item))
+        except ValueError:
+            raise ValueError(f"--n must be a comma list of integers, got {item!r} in {args.n!r}") from None
     specs = [GeneratorSpec(family=f, n=n, seed=args.seed) for f in families for n in sizes]
     report = run_bench(specs, task=args.task, reps=args.reps, timeout=args.timeout)
     sys.stdout.write(format_table(report))
@@ -212,7 +219,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="brute-force ground truth (small graphs)")
     add_io(p)
-    p.add_argument("--oracle-limit", type=int, default=12, help="max vertex count")
+    p.add_argument("--oracle-limit", type=int, default=DEFAULT_LIMIT, help="max vertex count")
     p.add_argument("--path-shaped", action="store_true", help="path-shaped variant")
     p.set_defaults(fn=cmd_oracle)
 

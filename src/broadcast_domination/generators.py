@@ -26,10 +26,6 @@ __all__ = [
     "sparse_random",
 ]
 
-FAMILIES = ("path", "cycle", "random-tree", "sparse-random", "barbell", "star", "wheel")
-# the extra key=value parameters each family takes
-_PARAMETERS = {"barbell": ("bell",), "sparse-random": ("p",)}
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -170,34 +166,32 @@ def sparse_random(n: int, seed: int, p: float | None = None) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# family name -> (builder(n, seed, **parameters), {extra key=value parameter: its type})
+_FAMILY_TABLE = {
+    "path": (lambda n, seed: path_graph(n), {}),
+    "cycle": (lambda n, seed: cycle_graph(n), {}),
+    "random-tree": (random_tree, {}),
+    "sparse-random": (sparse_random, {"p": float}),
+    "barbell": (lambda n, seed, bell=None: barbell_graph(n, bell), {"bell": int}),
+    "star": (lambda n, seed: star_graph(n), {}),
+    "wheel": (lambda n, seed: wheel_graph(n), {}),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
 def generate(spec: GeneratorSpec) -> Graph:
     """Dispatch on the family name; the result is always connected."""
     family, n = spec.family, spec.n
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     check_vertex_count(n)
-    takes = _PARAMETERS.get(family, ())
+    build, takes = _FAMILY_TABLE.get(family, (None, {}))
     unknown = sorted(set(spec.extra) - set(takes))
     if unknown:
         raise ValueError(f"family {family!r} has no parameter {unknown[0]!r}; it takes: {', '.join(takes) or 'none'}")
-    if family == "path":
-        g = path_graph(n)
-    elif family == "cycle":
-        g = cycle_graph(n)
-    elif family == "star":
-        g = star_graph(n)
-    elif family == "wheel":
-        g = wheel_graph(n)
-    elif family == "barbell":
-        bell = spec.extra.get("bell")
-        g = barbell_graph(n, bell=int(bell) if bell is not None else None)
-    elif family == "random-tree":
-        g = random_tree(n, spec.seed)
-    elif family == "sparse-random":
-        p = spec.extra.get("p")
-        g = sparse_random(n, spec.seed, p=float(p) if p is not None else None)
-    else:
+    if build is None:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    g = build(n, spec.seed, **{key: takes[key](value) for key, value in spec.extra.items() if value is not None})
     if not is_connected(g):
         raise InternalError(f"generator {family!r} produced a disconnected graph")
     return g

@@ -11,11 +11,12 @@ what makes it usable as an oracle for the solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import le, or_
 from typing import Iterator
 
 from .graph import DisconnectedGraphError, DistanceMatrix, Graph, InternalError, apsp
-from .verify import Broadcast, verify_efficient, verify_path_shaped
+from .verify import Broadcast, _contacts, _shape_witness
 
 __all__ = [
     "OracleLimitError",
@@ -44,51 +45,42 @@ def _ball_masks(dm: DistanceMatrix) -> list[list[int]]:
 
     Built as cumulative unions of the distance shells, O(n^2) total.
     """
-    n = dm.n
     masks = []
-    for v in range(n):
-        row = dm.dist[v]
-        ecc_v = int(dm.ecc[v])
-        shells = [0] * (ecc_v + 1)
-        for z in range(n):
-            shells[int(row[z])] |= 1 << z
-        cum = []
-        acc = 0
-        for p in range(ecc_v + 1):
-            acc |= shells[p]
-            cum.append(acc)
-        masks.append(cum)
+    for v in range(dm.n):
+        shells = [0] * (int(dm.ecc[v]) + 1)
+        for z, d in enumerate(dm.dist[v].tolist()):
+            shells[d] |= 1 << z
+        masks.append(list(accumulate(shells, or_)))
     return masks
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
     """Positive integer tuples of the given length summing to total, lex order."""
     if parts == 1:
-        yield (total,)
-        return
-    for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in cuts:
-            out.append(c - prev)
-            prev = c
-        out.append(total - prev)
-        yield tuple(out)
+        return [(total,)]
+    return [(first, *rest) for first in range(1, total - parts + 2) for rest in _compositions(total - first, parts - 1)]
 
 
-def iter_broadcasts_of_cost(g: Graph, dm: DistanceMatrix, cost: int) -> Iterator[Broadcast]:
-    """All assignments of the exact total cost, in the oracle's search order.
+def _assignments(dm: DistanceMatrix, cost: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(subset, powers) of the exact total cost, in the oracle's search order:
+    by size, then subset, then composition of the cost, each lexicographic.
 
     Per-vertex powers are capped at the eccentricity (a larger power covers
     nothing extra), which prunes the space without losing any ball.
     """
-    ecc = [int(e) for e in dm.ecc]
+    ecc = dm.ecc.tolist()
     for size in range(1, cost + 1):
-        for subset in combinations(range(g.n), size):
-            for powers in _compositions(cost, size):
-                if any(p > ecc[v] for v, p in zip(subset, powers)):
-                    continue
-                yield Broadcast(tuple(zip(subset, powers)))
+        splits = _compositions(cost, size)
+        for subset in combinations(range(dm.n), size):
+            caps = [ecc[v] for v in subset]
+            for powers in splits:
+                if all(map(le, powers, caps)):
+                    yield subset, powers
+
+
+def iter_broadcasts_of_cost(g: Graph, dm: DistanceMatrix, cost: int) -> Iterator[Broadcast]:
+    """All assignments of the exact total cost, in the oracle's search order."""
+    return (Broadcast(tuple(zip(subset, powers))) for subset, powers in _assignments(dm, cost))
 
 
 def _search(g: Graph, limit: int, path_shaped: bool) -> OracleResult:
@@ -101,27 +93,21 @@ def _search(g: Graph, limit: int, path_shaped: bool) -> OracleResult:
         raise DisconnectedGraphError("oracle requires a connected graph")
     masks = _ball_masks(dm)
     full = g.full_mask
-    ecc = [int(e) for e in dm.ecc]
     explored = 0
     for cost in range(1, dm.radius + 1):
-        for size in range(1, cost + 1):
-            for subset in combinations(range(g.n), size):
-                for powers in _compositions(cost, size):
-                    if any(p > ecc[v] for v, p in zip(subset, powers)):
-                        continue
-                    explored += 1
-                    covered = 0
-                    for v, p in zip(subset, powers):
-                        covered |= masks[v][p]
-                    if covered != full:
-                        continue
-                    bc = Broadcast(tuple(zip(subset, powers)))
-                    if path_shaped:
-                        if not verify_efficient(g, dm, bc).ok:
-                            continue
-                        if not verify_path_shaped(g, dm, bc).ok:
-                            continue
-                    return OracleResult(cost=cost, witness=bc, explored=explored)
+        for subset, powers in _assignments(dm, cost):
+            explored += 1
+            covered = 0
+            for v, p in zip(subset, powers):
+                covered |= masks[v][p]
+            if covered != full:
+                continue
+            bc = Broadcast(tuple(zip(subset, powers)))
+            if path_shaped:
+                overlaps, touches = _contacts(dm, bc)  # one pair scan decides both tests
+                if overlaps or _shape_witness(bc.active, touches) is not None:
+                    continue
+            return OracleResult(cost=cost, witness=bc, explored=explored)
     raise InternalError("unreachable: a radial broadcast is always feasible")
 
 

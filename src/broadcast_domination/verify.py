@@ -3,8 +3,11 @@
 These checks are one-liners over the distance matrix: a vertex is dominated
 if some active vertex reaches it, two balls are disjoint iff their centers
 are farther apart than the combined power, and two disjoint balls touch iff
-the center distance exceeds it by exactly one.  Everything downstream
-(solvers, oracle, CLI) is judged against these definitions.
+the center distance exceeds it by exactly one.  One pass over the active
+pairs, in lexicographic order, collects both the overlapping and the
+touching pairs; efficiency, the domination graph's edges and the path-shape
+test all read that pass.  Everything downstream (solvers, oracle, CLI) is
+judged against these definitions.
 """
 
 from __future__ import annotations
@@ -107,6 +110,48 @@ def verify_dominating(g: Graph, dm: DistanceMatrix, bc: Broadcast) -> CheckResul
     return CheckResult(False, (missing & -missing).bit_length() - 1)
 
 
+def _contacts(dm: DistanceMatrix, bc: Broadcast) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The one pass over the active pairs, in lexicographic order: the
+    overlapping pairs (dist <= p+q) and the touching pairs (dist = p+q+1)."""
+    items = bc.assignment
+    overlaps, touches = [], []
+    for i, (u, p) in enumerate(items):
+        for v, q in items[i + 1 :]:
+            gap = int(dm.dist[u, v]) - p - q
+            if gap <= 0:
+                overlaps.append((u, v))
+            elif gap == 1:
+                touches.append((u, v))
+    return overlaps, touches
+
+
+def _shape_witness(actives: tuple[int, ...], edges: list[tuple[int, int]]) -> Optional[int]:
+    """None when these edges make the sorted actives a path (of 0 or more
+    vertices); else the first vertex of degree >= 3, else the least vertex
+    cut off from actives[0], else (a cycle) the least active vertex."""
+    if not actives:
+        return None
+    nbr: dict[int, list[int]] = {v: [] for v in actives}
+    for u, v in edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    for v in actives:
+        if len(nbr[v]) >= 3:
+            return v
+    seen = {actives[0]}
+    stack = [actives[0]]
+    while stack:
+        for w in nbr[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) < len(actives):
+        return min(v for v in actives if v not in seen)
+    if len(edges) != len(actives) - 1:  # connected with max degree 2 and extra edges = cycle
+        return min(actives)
+    return None
+
+
 def verify_efficient(g: Graph, dm: DistanceMatrix, bc: Broadcast) -> CheckResult:
     """Balls of distinct active vertices pairwise disjoint.
 
@@ -115,14 +160,8 @@ def verify_efficient(g: Graph, dm: DistanceMatrix, bc: Broadcast) -> CheckResult
     overlapping pair in lexicographic order.
     """
     _check_powers(g, bc)
-    items = bc.assignment
-    for i in range(len(items)):
-        u, p = items[i]
-        for j in range(i + 1, len(items)):
-            v, q = items[j]
-            if int(dm.dist[u, v]) <= p + q:
-                return CheckResult(False, (u, v))
-    return CheckResult(True, None)
+    overlaps, _ = _contacts(dm, bc)
+    return CheckResult(not overlaps, overlaps[0] if overlaps else None)
 
 
 def domination_edges(dm: DistanceMatrix, bc: Broadcast) -> list[tuple[int, int]]:
@@ -131,15 +170,7 @@ def domination_edges(dm: DistanceMatrix, bc: Broadcast) -> list[tuple[int, int]]
     Assumes the broadcast is efficient; for disjoint balls, adjacency is
     exactly the tight-contact condition dist(a,b) = p+q+1.
     """
-    items = bc.assignment
-    edges = []
-    for i in range(len(items)):
-        u, p = items[i]
-        for j in range(i + 1, len(items)):
-            v, q = items[j]
-            if int(dm.dist[u, v]) == p + q + 1:
-                edges.append((u, v))
-    return edges
+    return _contacts(dm, bc)[1]
 
 
 def verify_path_shaped(g: Graph, dm: DistanceMatrix, bc: Broadcast) -> CheckResult:
@@ -150,59 +181,25 @@ def verify_path_shaped(g: Graph, dm: DistanceMatrix, bc: Broadcast) -> CheckResu
     is a vertex of degree >= 3 when one exists, otherwise an active vertex
     on the offending cycle or in a separated component.
     """
-    eff = verify_efficient(g, dm, bc)
-    if not eff.ok:
-        raise ValueError(f"verify_path_shaped requires an efficient broadcast; balls of {eff.witness} overlap")
-    actives = bc.active
-    t = len(actives)
-    if t <= 1:
-        return CheckResult(True, None)
-    edges = domination_edges(dm, bc)
-    deg = {v: 0 for v in actives}
-    nbr: dict[int, list[int]] = {v: [] for v in actives}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        nbr[u].append(v)
-        nbr[v].append(u)
-    for v in actives:
-        if deg[v] >= 3:
-            return CheckResult(False, v)
-    # connected?
-    seen = {actives[0]}
-    stack = [actives[0]]
-    while stack:
-        u = stack.pop()
-        for w in nbr[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) < t:
-        stray = min(v for v in actives if v not in seen)
-        return CheckResult(False, stray)
-    if len(edges) != t - 1:  # connected with max degree 2 and extra edges = cycle
-        return CheckResult(False, min(actives))
-    return CheckResult(True, None)
+    _check_powers(g, bc)
+    overlaps, touches = _contacts(dm, bc)
+    if overlaps:
+        raise ValueError(f"verify_path_shaped requires an efficient broadcast; balls of {overlaps[0]} overlap")
+    witness = _shape_witness(bc.active, touches)
+    return CheckResult(witness is None, witness)
 
 
 def full_verdict(g: Graph, dm: DistanceMatrix, bc: Broadcast) -> Verdict:
-    dom = verify_dominating(g, dm, bc)
-    eff = verify_efficient(g, dm, bc)
-    if eff.ok:
-        shape = verify_path_shaped(g, dm, bc)
-        return Verdict(
-            dominating=dom.ok,
-            efficient=True,
-            path_shaped=shape.ok,
-            witness_undominated=None if dom.ok else dom.witness,
-            witness_shape=None if shape.ok else shape.witness,
-        )
+    dom = verify_dominating(g, dm, bc)  # the verdict's one power check
+    overlaps, touches = _contacts(dm, bc)
+    shape = None if overlaps else _shape_witness(bc.active, touches)
     return Verdict(
         dominating=dom.ok,
-        efficient=False,
-        path_shaped=None,
-        witness_undominated=None if dom.ok else dom.witness,
-        witness_overlap=eff.witness,
+        efficient=not overlaps,
+        path_shaped=None if overlaps else shape is None,
+        witness_undominated=dom.witness,
+        witness_overlap=overlaps[0] if overlaps else None,
+        witness_shape=shape,
     )
 
 

@@ -8,7 +8,6 @@ computed once per session and shared by the criteria that consume it.
 from __future__ import annotations
 
 import hashlib
-import statistics
 import subprocess
 import sys
 import time
@@ -378,18 +377,20 @@ def test_closed_form_families():
 
 
 def test_scaling_cubic():
+    # each size is timed by process CPU time, best of 5 calls: wall-clock
+    # time on a shared host also counts other tenants' bursts
     sizes = (64, 128, 256)
-    medians = {}
+    best = {}
     for n in sizes:
         g = path_graph(n)
         times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
+        for _ in range(5):
+            t0 = time.process_time()
             solve_path(g)
-            times.append(time.perf_counter() - t0)
-        medians[n] = statistics.median(times)
-    r1 = medians[128] / medians[64]
-    r2 = medians[256] / medians[128]
+            times.append(time.process_time() - t0)
+        best[n] = min(times)
+    r1 = best[128] / best[64]
+    r2 = best[256] / best[128]
     assert 5.0 <= r1 <= 13.0, f"doubling ratio 64->128 was {r1:.2f}"
     assert 5.0 <= r2 <= 13.0, f"doubling ratio 128->256 was {r2:.2f}"
     # state and arc growth against frozen cubic constants (measured once:

@@ -79,6 +79,14 @@ class TestOracle:
         assert res.returncode == 2
         assert run_cli(["oracle", "--oracle-limit", "13"], big).returncode == 0
 
+    def test_limit_below_one_is_usage_error(self):
+        # no graph meets a limit below 1, so it is a bad flag value, not an infeasible input
+        cycle9 = "9\n" + "".join(f"{i} {(i + 1) % 9}\n" for i in range(9))
+        for value in ("-1", "0"):
+            res = run_cli(["oracle", "--oracle-limit", value], cycle9)
+            assert res.returncode == 1 and res.stdout == "", value
+            assert res.stderr == f"error: --oracle-limit must be at least 1, got {value}\n", res.stderr
+
 
 class TestVerify:
     def test_undominated_witness(self, tmp_path):
@@ -210,6 +218,12 @@ class TestBench:
             res = run_cli(args)
             assert res.returncode == 1 and res.stdout == "", (flag, value)
             assert res.stderr.startswith(f"error: {flag} ") and len(res.stderr.splitlines()) == 1, res.stderr
+
+    def test_bad_size_list_rejected(self):
+        res = run_cli(["bench", "--family", "path", "--n", "8,x", "--reps", "1"])
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error: --n ") and "'x'" in res.stderr, res.stderr
+        assert len(res.stderr.splitlines()) == 1
 
     def test_timeout_exit_code(self):
         res = run_cli(["bench", "--family", "path", "--n", "8", "--reps", "1", "--timeout", "1e-9"])

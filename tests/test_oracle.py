@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 from broadcast_domination.graph import Graph, apsp
@@ -88,6 +90,21 @@ class TestOracleBehavior:
             assert verify_dominating(g, dm, resp.witness).ok
             assert verify_efficient(g, dm, resp.witness).ok
             assert verify_path_shaped(g, dm, resp.witness).ok
+
+    def test_explored_counts_the_enumerator(self):
+        # the oracle and iter_broadcasts_of_cost walk one search order: the
+        # witness is the first dominating assignment of costs 1..optimum, and
+        # explored counts every assignment up to and including it
+        cyc7 = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
+        graphs = [path(8), star(5), cyc7] + [random_connected_graph(n, 40 + n) for n in (6, 7, 8)]
+        for g in graphs:
+            dm = apsp(g)
+            res = oracle_gamma_b(g)
+            order = chain.from_iterable(iter_broadcasts_of_cost(g, dm, c) for c in range(1, res.cost + 1))
+            for seen, bc in enumerate(order, 1):
+                if verify_dominating(g, dm, bc).ok:
+                    break
+            assert (bc, seen) == (res.witness, res.explored)
 
     def test_determinism(self):
         g = random_connected_graph(9, 123)
