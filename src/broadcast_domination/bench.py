@@ -122,8 +122,8 @@ def run_bench(
     new_fn = _solver_fn(task, SOLVER_NEW)
     base_fn = _solver_fn(task, SOLVER_BASELINE)
     rows: list[BenchRow] = []
-    for spec in specs:
-        g = generate(spec)
+    graphs = [generate(spec) for spec in specs]  # a bad spec fails before any solve
+    for spec, g in zip(specs, graphs):
         new_ms, new_cost = _time_solver(new_fn, g, reps, timeout, warmup)
         base_ms, base_cost = _time_solver(base_fn, g, reps, timeout, warmup)
         if new_cost != base_cost:

@@ -224,6 +224,12 @@ class TestBench:
         assert res.returncode == 1 and res.stdout == ""
         assert res.stderr.startswith("error: --n ") and "'x'" in res.stderr, res.stderr
         assert len(res.stderr.splitlines()) == 1
+        # a size the family cannot take is found before the first solve, which
+        # would otherwise exceed the timeout and exit 2
+        args = ["bench", "--family", "path", "--family", "cycle", "--n", "8,2", "--reps", "1", "--timeout", "1e-9"]
+        res = run_cli(args)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == "error: cycle needs n >= 3, got 2\n", res.stderr
 
     def test_timeout_exit_code(self):
         res = run_cli(["bench", "--family", "path", "--n", "8", "--reps", "1", "--timeout", "1e-9"])
