@@ -74,15 +74,20 @@ def _assignment_field(bc) -> str:
     return ",".join(f"{v}={p}" for v, p in bc.assignment)
 
 
+def _flag(value: bool | None) -> str:
+    """A verdict field as printed: true/false, or n/a when not decided."""
+    return "n/a" if value is None else str(value).lower()
+
+
 def _report_broadcast(g, dm, bc, elapsed: float | None) -> list[str]:
     verdict = full_verdict(g, dm, bc)
     lines = [
         f"n:{g.n}",
         f"cost:{bc.cost}",
         f"assignment:{_assignment_field(bc)}",
-        f"dominating:{str(verdict.dominating).lower()}",
-        f"efficient:{str(verdict.efficient).lower()}",
-        f"path_shaped:{'n/a' if verdict.path_shaped is None else str(verdict.path_shaped).lower()}",
+        f"dominating:{_flag(verdict.dominating)}",
+        f"efficient:{_flag(verdict.efficient)}",
+        f"path_shaped:{_flag(verdict.path_shaped)}",
     ]
     if elapsed is not None:
         lines.append(f"time_ms:{elapsed * 1000.0:.3f}")
@@ -146,16 +151,16 @@ def cmd_verify(args) -> int:
     verdict = full_verdict(g, apsp(g), bc)
     lines = [f"cost:{bc.cost}"]
     if "dominating" in checks:
-        lines.append(f"dominating:{str(verdict.dominating).lower()}")
+        lines.append(f"dominating:{_flag(verdict.dominating)}")
         if verdict.witness_undominated is not None:
             lines.append(f"witness_undominated:{verdict.witness_undominated}")
     if "efficient" in checks:
-        lines.append(f"efficient:{str(verdict.efficient).lower()}")
+        lines.append(f"efficient:{_flag(verdict.efficient)}")
         if verdict.witness_overlap is not None:
             u, v = verdict.witness_overlap
             lines.append(f"witness_overlap:{u},{v}")
     if "path" in checks:
-        lines.append(f"path_shaped:{'n/a' if verdict.path_shaped is None else str(verdict.path_shaped).lower()}")
+        lines.append(f"path_shaped:{_flag(verdict.path_shaped)}")
         if verdict.witness_shape is not None:
             lines.append(f"witness_shape:{verdict.witness_shape}")
     _emit(lines)

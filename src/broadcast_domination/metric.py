@@ -7,8 +7,9 @@ a ball at w needs before it swallows the ball's frontier into a given
 piece.  All of it is built for every (center, power) pair in one cubic
 sweep; balls whose complement has more than two components never become
 states, so only their component count is kept.  Per center the Python work
-is the shell-by-shell disjoint-set build; copying its roots into the table
-and turning them into labels are array operations.
+is the shell-by-shell disjoint-set build and the copy of its roots into the
+two-component rows; filling the one-component rows and turning roots into
+labels are array passes over all centers at once.
 """
 
 from __future__ import annotations
@@ -45,9 +46,20 @@ class ResidualTable:
     comp_size: np.ndarray  # (n, rho+1, 3) int32; index = label
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal values in a 1-D
+    array; empty for an empty array.  The same as
+    np.flatnonzero(np.diff(a, prepend=x)) for any x not equal to a[0],
+    without np.diff's Python-level set-up, which dominates on short arrays."""
+    new = np.empty(a.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 class _ShellSets:
     """Disjoint sets of the vertices outside a shrinking ball, grown one
-    vertex at a time.
+    distance shell at a time.
 
     parent[z] is the root of z's class, or -1 while z is inside the ball,
     so the list is a complete component labeling at any moment.  Roots are
@@ -56,28 +68,31 @@ class _ShellSets:
 
     def __init__(self, n: int):
         self.parent: list[int] = [-1] * n
-        self._members: dict[int, list[int]] = {}
+        self._members: list[list[int] | None] = [None] * n  # by root
 
-    def add(self, x: int, neighbors) -> int:
-        """Put x in a class of its own, then merge it with every neighbor
-        outside the ball; returns the number of classes merged into x's."""
+    def add(self, shell, adj) -> int:
+        """Put every vertex of shell in a class of its own, then merge each
+        with its neighbors (adj[x]) outside the ball; returns the number of
+        merges, so the class count grows by len(shell) minus it."""
         parent, members = self.parent, self._members
-        parent[x] = x
-        members[x] = [x]
+        for x in shell:
+            parent[x] = x
+            members[x] = [x]
         merged = 0
-        for y in neighbors:
-            ry = parent[y]
+        for x in shell:
             rx = parent[x]
-            if ry < 0 or rx == ry:
-                continue
-            mx, my = members[rx], members[ry]
-            if len(mx) < len(my) or (len(mx) == len(my) and ry < rx):
-                rx, ry, mx, my = ry, rx, my, mx
-            for z in my:
-                parent[z] = rx
-            mx.extend(my)
-            del members[ry]
-            merged += 1
+            for y in adj[x]:
+                ry = parent[y]
+                if ry < 0 or rx == ry:
+                    continue
+                mx, my = members[rx], members[ry]
+                if len(mx) < len(my) or (len(mx) == len(my) and ry < rx):
+                    rx, ry, mx, my = ry, rx, my, mx
+                for z in my:
+                    parent[z] = rx
+                mx.extend(my)
+                members[ry] = None
+                merged += 1
         return merged
 
 
@@ -85,14 +100,15 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     """Component structure of H - B(v, p) for every v and 1 <= p <= radius.
 
     Radii are processed in decreasing order per center: stepping from p+1 to
-    p activates exactly the distance-(p+1) shell (ascending vertex index),
-    merging each new vertex with its already-active neighbors through a
-    disjoint set, O(n^2) per center.  That shell build and the additions
-    are the only Python work.  At each kept radius with two components the
-    disjoint set's root array is copied into the label row as it stands (-1
-    inside the ball); rows with one component are filled per center from
-    the distance row instead.  One array pass after all centers turns roots
-    into first-touch labels and counts the component sizes.
+    p activates exactly the distance-(p+1) shell in one disjoint-set call,
+    merging its vertices with their already-active neighbors, O(n^2) per
+    center.  That shell build and the component counts, kept in Python
+    lists, are the only per-center Python work.  At each kept radius with
+    two components the disjoint set's root array is copied into the label
+    row as it stands (-1 inside the ball).  After the sweep one int16 pass
+    fills every one-component row from the distance matrix (root 0 outside,
+    negative inside), and one array pass turns roots into first-touch
+    labels and counts the component sizes.
     """
     n = g.n
     if n < 2:
@@ -100,28 +116,34 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     if not dm.connected:
         raise DisconnectedGraphError("residual decompositions require a connected graph")
     rho = dm.radius
-    kappa = np.zeros((n, rho + 1), dtype=np.int16)
     comp_label = np.full((n, rho + 1, n), -1, dtype=np.int16)
     adj = g.adj
-    for v in range(n):
-        dr = dm.dist[v].tolist()
-        ecc_v = int(dm.ecc[v])
+    kappa_rows = []
+    for v, (dr, ecc_v) in enumerate(zip(dm.dist.tolist(), dm.ecc.tolist())):
         shells: list[list[int]] = [[] for _ in range(ecc_v + 1)]
-        for z in range(n):
-            shells[dr[z]].append(z)
+        for z, d in enumerate(dr):
+            shells[d].append(z)
         sets = _ShellSets(n)
         ncomp = 0
+        kv = [0] * (rho + 1)
         for p in range(ecc_v - 1, 0, -1):
-            for z in shells[p + 1]:
-                ncomp += 1 - sets.add(z, adj[z])
+            shell = shells[p + 1]
+            ncomp += len(shell) - sets.add(shell, adj)
             if p <= rho:
-                kappa[v, p] = ncomp
+                kv[p] = ncomp
                 if ncomp == 2:
                     comp_label[v, p] = sets.parent
-        # one component: every vertex outside the ball shares root 0
-        one = np.flatnonzero(kappa[v] == 1)
-        comp_label[v, one] = (dm.dist[v] > one[:, None]) - 1
-    del dr, shells, sets, one  # per-center state, not needed by the array pass
+        kappa_rows.append(kv)
+    del shells, sets  # per-center state, not needed by the array passes
+    kappa = np.array(kappa_rows, dtype=np.int16)
+    # one component: every vertex outside the ball shares root 0, and the
+    # ones inside get a negative root; int16 throughout, one row per ball
+    vs, ps = np.nonzero(kappa == 1)
+    one = dm.dist[vs]
+    one -= (ps + 1).astype(np.int16)[:, None]
+    np.minimum(one, 0, out=one)
+    comp_label[vs, ps] = one
+    del vs, ps, one
     # rows never written (p = 0, p >= ecc, more than two components) hold -1
     # throughout and come out as all-inside rows of label 0
     rows = comp_label.reshape(-1, n)
@@ -182,6 +204,6 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
         key = (vs * (rho + 1) + ps) * 2 + rt.comp_label[vs, ps, zs] - 1
         order = np.argsort(key, kind="stable")
         zs, key = zs[order], key[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        starts = _run_starts(key)
         rows[key[starts]] = np.maximum.reduceat(dist[zs], starts, axis=0)
     return RequirementTable(req=req)

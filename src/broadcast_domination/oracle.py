@@ -78,7 +78,7 @@ def _assignments(dm: DistanceMatrix, cost: int) -> Iterator[tuple[tuple[int, ...
                     yield subset, powers
 
 
-def iter_broadcasts_of_cost(g: Graph, dm: DistanceMatrix, cost: int) -> Iterator[Broadcast]:
+def iter_broadcasts_of_cost(dm: DistanceMatrix, cost: int) -> Iterator[Broadcast]:
     """All assignments of the exact total cost, in the oracle's search order."""
     return (Broadcast(tuple(zip(subset, powers))) for subset, powers in _assignments(dm, cost))
 

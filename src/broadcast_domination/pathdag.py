@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DisconnectedGraphError, DistanceMatrix, Graph, InternalError, apsp
-from .metric import RequirementTable, ResidualTable, requirement_table, residual_decompositions
+from .metric import RequirementTable, ResidualTable, _run_starts, requirement_table, residual_decompositions
 from .verify import Broadcast
 
 __all__ = [
@@ -105,25 +105,22 @@ class StateDag:
         return State(center=v, power=p, left=left, right=right, left_size=int(self.left_size[sid]))
 
 
+# per left label (0, 1, 2), indexed by min(kappa, 3): an open ball (kappa
+# 0) has one radial state, a one-component ball the orientations (0, 1) and
+# (1, 0), a two-component ball (1, 2) and (2, 1), a more fragmented ball none
+_EXISTS = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 0]], dtype=bool)
+_IS_SOURCE = np.array([[1, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=bool)
+_IS_SINK = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=bool)
+
+
 def _dense_tables(rt: ResidualTable):
     """exists, left_size, is_source, is_sink, flat and indexed by state id:
-    the (n, rho, 3) layout of (center, power - 1, left label)."""
-    n, rho = rt.n, rt.rho
-    k = rt.kappa[:, 1:]  # (n, rho), column j = power j+1
-    exists = np.zeros((n, rho, 3), dtype=bool)
-    exists[:, :, 0] = k <= 1
-    exists[:, :, 1] = (k == 1) | (k == 2)
-    exists[:, :, 2] = k == 2
-    left_size = np.zeros((n, rho, 3), dtype=np.int32)
-    left_size[:, :, 1] = rt.comp_size[:, 1:, 1]
-    left_size[:, :, 2] = rt.comp_size[:, 1:, 2]
-    is_source = np.zeros((n, rho, 3), dtype=bool)
-    is_source[:, :, 0] = exists[:, :, 0]
-    is_sink = np.zeros((n, rho, 3), dtype=bool)
-    is_sink[:, :, 0] = k == 0
-    is_sink[:, :, 1] = k == 1
-    flat = lambda a: a.reshape(-1)
-    return (flat(exists), flat(left_size), flat(is_source), flat(is_sink))
+    the (n, rho, 3) layout of (center, power - 1, left label).  left_size
+    is the component size of the left label, 0 for the empty side, which
+    is comp_size's zero label-0 column."""
+    k = np.minimum(rt.kappa[:, 1:], 3)  # (n, rho), column j = power j+1
+    left_size = rt.comp_size[:, 1:].reshape(-1)  # a copy: the slice is strided
+    return _EXISTS[k].reshape(-1), left_size, _IS_SOURCE[k].reshape(-1), _IS_SINK[k].reshape(-1)
 
 
 def enumerate_states(rt: ResidualTable) -> list[State]:
@@ -196,7 +193,9 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     # of them are few on small graphs and small beside the tables on large
     # ones (about 120 bytes per candidate against 6 n^2 rho table bytes)
     batch = np.cumsum(left_size[targets]) // max(n * n // 2, 1 << 13)
-    for taus in np.split(targets, np.flatnonzero(np.diff(batch)) + 1):
+    cuts = [*_run_starts(batch).tolist(), targets.size]
+    for a, b in zip(cuts, cuts[1:]):
+        taus = targets[a:b]
         w, q, left = _decode(taus, rho)
         facing = (w * (rho + 1) + q) * 2 + left - 1  # req row of tau's left side
         pos, v = np.nonzero(rt.comp_label[w, q] == left[:, None])
@@ -272,9 +271,9 @@ def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, 
     best[sources] = (power[sources] << 32) + _NO_PRED
     for dst, src in _in_arcs(dm, rt, req, states):
         offers = (power[dst] << 32) + src  # still without the source's cost
-        first = np.flatnonzero(np.diff(dst, prepend=-1))  # first offer to each target
+        first = _run_starts(dst)  # first offer to each target
         taus = dst[first]
-        bounds = [0, *(np.flatnonzero(np.diff(left_size[taus])) + 1).tolist(), taus.size]
+        bounds = [*_run_starts(left_size[taus]).tolist(), taus.size]
         ends = [*first.tolist(), dst.size]
         for a, b in zip(bounds, bounds[1:]):  # one left size at a time
             lo, hi = ends[a], ends[b]

@@ -198,7 +198,7 @@ def exhaustive_sweep():
                 found_efficient = False
                 found_shape = False
                 singleton_fail = False
-                for bc in iter_broadcasts_of_cost(g, dm, truth_b.cost):
+                for bc in iter_broadcasts_of_cost(dm, truth_b.cost):
                     if not verify_dominating(g, dm, bc).ok:
                         continue
                     if not verify_efficient(g, dm, bc).ok:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree
 from broadcast_domination.graph import Graph, apsp, bits_of
-from broadcast_domination.metric import _ShellSets, requirement_table, residual_decompositions
+from broadcast_domination.metric import _run_starts, _ShellSets, requirement_table, residual_decompositions
 from broadcast_domination.verify import ball_mask
 
 from conftest import connected_graphs, iter_bits, members, random_connected_graph
@@ -61,44 +61,88 @@ def label_graphs(small_random_graphs):
     return small_random_graphs + larger
 
 
+def naive_roots(adj, added):
+    """Smallest-vertex representative of each vertex's component in the
+    graph induced on added."""
+    naive = {}
+    for s in sorted(added):
+        if s not in naive:
+            stack = [s]
+            naive[s] = s
+            while stack:
+                z = stack.pop()
+                for y in adj[z] & added:
+                    if y not in naive:
+                        naive[y] = s
+                        stack.append(y)
+    return naive
+
+
 class TestShellSets:
     def test_add_counts_merges(self):
         d = _ShellSets(5)
-        assert d.add(0, [1, 2]) == 0  # no neighbor added yet
-        assert d.add(2, [0, 1]) == 1
-        assert d.add(4, [3]) == 0
-        assert d.add(1, [0, 2, 4]) == 2  # 2 is already in 0's class
+        assert d.add([0], {0: [1, 2]}) == 0  # no neighbor added yet
+        assert d.add([2], {2: [0, 1]}) == 1
+        assert d.add([4], {4: [3]}) == 0
+        assert d.add([1], {1: [0, 2, 4]}) == 2  # 2 is already in 0's class
         p = d.parent
         assert p[0] == p[1] == p[2] == p[4] == p[p[0]] and p[3] == -1
 
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30), st.permutations(range(10)))
     @settings(max_examples=50, deadline=None)
     def test_partition_matches_naive(self, pairs, order):
-        # after each add, parent labels exactly the components of the graph
-        # induced on the vertices added so far, and add returns the drop in
-        # their count, plus one
+        # after each one-vertex shell, parent labels exactly the components
+        # of the graph induced on the vertices added so far, and add returns
+        # the drop in their count, plus one
         adj = {v: {b for a, b in pairs if a == v} | {a for a, b in pairs if b == v} for v in range(10)}
         d = _ShellSets(10)
         added: set[int] = set()
         comps = 0
         for x in order:
-            merged = d.add(x, sorted(adj[x] - {x}))
+            merged = d.add([x], {x: sorted(adj[x] - {x})})
             added.add(x)
-            naive = {}
-            for s in sorted(added):
-                if s not in naive:
-                    stack = [s]
-                    naive[s] = s
-                    while stack:
-                        z = stack.pop()
-                        for y in adj[z] & added:
-                            if y not in naive:
-                                naive[y] = s
-                                stack.append(y)
+            naive = naive_roots(adj, added)
             assert merged == comps + 1 - len(set(naive.values()))
             comps = len(set(naive.values()))
             assert all((d.parent[a] == d.parent[b]) == (naive[a] == naive[b]) for a in added for b in added)
             assert all(d.parent[z] == -1 for z in range(10) if z not in added)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
+        st.permutations(range(10)),
+        st.lists(st.integers(1, 4), min_size=10, max_size=10),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_multi_vertex_shells_match_naive(self, pairs, order, widths):
+        # whole shells at once, with edges inside a shell too: the classes
+        # are the components of the graph induced on the vertices added so
+        # far, and the class count grows by the shell's size minus the merges
+        adj = {v: {b for a, b in pairs if a == v} | {a for a, b in pairs if b == v} for v in range(10)}
+        nbrs = [sorted(adj[v] - {v}) for v in range(10)]
+        d = _ShellSets(10)
+        added: set[int] = set()
+        comps = 0
+        i = 0
+        for width in widths:
+            shell = order[i : i + width]
+            i += width
+            merged = d.add(shell, nbrs)
+            added.update(shell)
+            naive = naive_roots(adj, added)
+            assert merged == comps + len(shell) - len(set(naive.values()))
+            comps = len(set(naive.values()))
+            assert all((d.parent[a] == d.parent[b]) == (naive[a] == naive[b]) for a in added for b in added)
+            assert all(d.parent[z] == -1 for z in range(10) if z not in added)
+            assert all(d.parent[d.parent[z]] == d.parent[z] for z in added)
+
+
+@given(st.lists(st.integers(0, 3), max_size=20))
+@settings(max_examples=50, deadline=None)
+def test_run_starts_matches_diff(values):
+    # the first index of every run of equal values, as np.diff with a
+    # prepended value below every entry finds them
+    a = np.array(values, dtype=np.int64)
+    assert _run_starts(a).tolist() == np.flatnonzero(np.diff(a, prepend=-1)).tolist()
 
 
 class TestBall:

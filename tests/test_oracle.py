@@ -100,7 +100,7 @@ class TestOracleBehavior:
         for g in graphs:
             dm = apsp(g)
             res = oracle_gamma_b(g)
-            order = chain.from_iterable(iter_broadcasts_of_cost(g, dm, c) for c in range(1, res.cost + 1))
+            order = chain.from_iterable(iter_broadcasts_of_cost(dm, c) for c in range(1, res.cost + 1))
             for seen, bc in enumerate(order, 1):
                 if verify_dominating(g, dm, bc).ok:
                     break
@@ -131,7 +131,7 @@ class TestStructure:
                 best = oracle_gamma_b(g).cost
                 found_efficient = False
                 found_shape = False
-                for bc in iter_broadcasts_of_cost(g, dm, best):
+                for bc in iter_broadcasts_of_cost(dm, best):
                     if not verify_dominating(g, dm, bc).ok:
                         continue
                     if not verify_efficient(g, dm, bc).ok:
@@ -150,7 +150,7 @@ class TestStructure:
             for g in connected_graphs(n):
                 dm = apsp(g)
                 best = oracle_gamma_b(g).cost
-                for bc in iter_broadcasts_of_cost(g, dm, best):
+                for bc in iter_broadcasts_of_cost(dm, best):
                     if not verify_dominating(g, dm, bc).ok or not verify_efficient(g, dm, bc).ok:
                         continue
                     for x, k in bc.assignment:

@@ -280,10 +280,12 @@ class TestSolvePath:
                 assert (a, b) in arcs
                 assert a == pred[b]
 
-    def test_memory_within_tables(self):
+    @pytest.mark.parametrize("g", [path_graph(128), cycle_graph(128)], ids=["path128", "cycle128"])
+    def test_memory_within_tables(self, g):
         # the DP pulls in-arcs one left-size batch at a time, so no arc
-        # array of cubic length exists while solve_path runs
-        g = path_graph(128)
+        # array of cubic length exists while solve_path runs; on the cycle
+        # almost every kept ball has one component, so the one-component
+        # label fill must not build a wide temporary over all those rows
         _, rt, rq = tables(g)
         table_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + rq.req.nbytes
         del rt, rq
