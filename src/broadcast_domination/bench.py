@@ -90,12 +90,10 @@ def _solver_fn(task: str, solver: str) -> Callable[[Graph], object]:
     raise ValueError(f"unknown task {task!r}; known: {', '.join(TASKS)}")
 
 
-def _time_solver(fn, g: Graph, reps: int, timeout: float | None, warmup: int):
+def _time_solver(fn, g: Graph, reps: int, timeout: float | None):
     """Median solve time in ms and the cost.  The timeout aborts the run
     after a solve slower than it; it is checked once the solve has
     returned, so it never interrupts one."""
-    for _ in range(warmup):
-        fn(g)
     times = []
     cost = None
     for _ in range(reps):
@@ -114,7 +112,6 @@ def run_bench(
     task: str = "optimal",
     reps: int = 5,
     timeout: float | None = None,
-    warmup: int = 0,
 ) -> BenchReport:
     """Run both solvers on every instance and aggregate speedups per family."""
     if reps < 1:
@@ -124,8 +121,8 @@ def run_bench(
     rows: list[BenchRow] = []
     graphs = [generate(spec) for spec in specs]  # a bad spec fails before any solve
     for spec, g in zip(specs, graphs):
-        new_ms, new_cost = _time_solver(new_fn, g, reps, timeout, warmup)
-        base_ms, base_cost = _time_solver(base_fn, g, reps, timeout, warmup)
+        new_ms, new_cost = _time_solver(new_fn, g, reps, timeout)
+        base_ms, base_cost = _time_solver(base_fn, g, reps, timeout)
         if new_cost != base_cost:
             raise BenchCostMismatch(
                 f"cost mismatch on {spec.family} n={spec.n} seed={spec.seed}: "

@@ -109,8 +109,8 @@ class Graph:
         for u, v in sorted(seen):
             nbrs[u].append(v)
             nbrs[v].append(u)
-        adj = tuple(tuple(sorted(a)) for a in nbrs)
-        return cls(n=n, adj=adj)
+        # pairs come in sorted order, so every neighbour list is ascending
+        return cls(n=n, adj=tuple(map(tuple, nbrs)))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]

@@ -75,8 +75,9 @@ class StateDag:
     """Dense state arrays plus the arc list, for dumps, tests and tracing.
 
     Arrays are indexed by state id (_state_id); ids where exists is False
-    are unused slots.  Arcs are stored as flat parallel src/dst arrays; the
-    solver never builds them.
+    are unused slots.  Arcs are stored as flat parallel src/dst arrays in
+    the DP's pull order (build_dag); the solver never builds them, and
+    dag_to_dot sorts them for printing.
     """
 
     n: int
@@ -217,18 +218,16 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
 
 
 def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable) -> StateDag:
-    """All in-arcs of all states in O(n^3), ordered by (source ball, target
-    id).  Only dumps, tests and tracing call this; the DP pulls the arcs."""
+    """All in-arcs of all states in O(n^3), in the order _in_arcs yields
+    them: grouped by target, targets in increasing left size, sources
+    ascending per target.  Only dumps, tests and tracing call this; the DP
+    pulls the arcs itself."""
     states = _dense_tables(rt)
     srcs, dsts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for dst, src in _in_arcs(dm, rt, req, states):
         srcs.append(src)
         dsts.append(dst)
-    arc_src, arc_dst = np.concatenate(srcs), np.concatenate(dsts)
-    del srcs, dsts  # batch copies, freed before the sort key's temporaries
-    # the label-0 id of each source's ball, so ids of one ball sort together
-    order = np.argsort(_state_id(*_decode(arc_src, rt.rho)[:2], 0, rt.rho) * states[0].size + arc_dst)
-    return StateDag(g.n, rt.rho, *states, arc_src=arc_src[order], arc_dst=arc_dst[order])
+    return StateDag(g.n, rt.rho, *states, arc_src=np.concatenate(srcs), arc_dst=np.concatenate(dsts))
 
 
 def _allowed_sources(is_source: np.ndarray, start: np.ndarray | None, rho: int) -> np.ndarray:
@@ -312,16 +311,10 @@ def _solve_broadcast(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTabl
     if res is None:
         raise InternalError("no source-to-sink chain, but a radial state always exists")
     cost, chain = res
-    assignment = []
-    seen = set()
-    for sid in chain:
-        v, p, _ = _decode(sid, rt.rho)
-        # a simple chain never revisits a center; enforced, not repaired
-        if v in seen:
-            raise InternalError("state chain reuses a center")
-        seen.add(v)
-        assignment.append((v, p))
-    bc = Broadcast.from_pairs(assignment)
+    try:  # a simple chain never revisits a center; enforced, not repaired
+        bc = Broadcast.from_pairs(_decode(sid, rt.rho)[:2] for sid in chain)
+    except ValueError as exc:
+        raise InternalError(f"state chain reuses a center: {exc}") from exc
     if bc.cost != cost:
         raise InternalError(f"chain cost {bc.cost} differs from the DP value {cost}")
     return bc
@@ -347,7 +340,9 @@ def dag_to_dot(dag: StateDag) -> str:
             shape.append("sink")
         extra = f" [{'/'.join(shape)}]" if shape else ""
         lines.append(f'  s{sid} [label="({s.center},{s.power},{s.left},{s.right}) w={s.power}{extra}"];')
-    for a, b in zip(dag.arc_src.tolist(), dag.arc_dst.tolist()):
+    v, p, _ = _decode(dag.arc_src, dag.rho)
+    order = np.lexsort((dag.arc_dst, p, v))  # by source ball, then target id
+    for a, b in zip(dag.arc_src[order].tolist(), dag.arc_dst[order].tolist()):
         lines.append(f"  s{a} -> s{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -420,7 +420,7 @@ def test_benchmark_trend():
         specs = [GeneratorSpec(family, n) for n in (20, 30, 40)]
         speedups = []
         for attempt in range(3):
-            report = run_bench(specs, task="path", reps=7, warmup=1)
+            report = run_bench(specs, task="path", reps=7)
             by_n = {}
             for r in report.rows:
                 by_n.setdefault(r.n, {})[r.solver] = r

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -8,9 +9,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from broadcast_domination import pathdag
 from broadcast_domination.anchored import solve_path_anchored
 from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree
-from broadcast_domination.graph import Graph, apsp, bits_of, is_connected
+from broadcast_domination.graph import Graph, InternalError, apsp, bits_of, is_connected
 from broadcast_domination.metric import requirement_table, residual_decompositions
 from broadcast_domination.oracle import oracle_gamma_path
 from broadcast_domination.pathdag import (
@@ -210,6 +212,14 @@ class TestBuildDag:
             got = hashlib.sha256(dag_to_dot(build_dag(g, dm, rt, rq)).encode()).hexdigest()
             assert got == want, name
 
+    def test_dot_dump_ignores_arc_order(self):
+        # build_dag keeps the DP's pull order; dag_to_dot alone orders arcs
+        for g in (path_graph(12), barbell_graph(12), random_connected_graph(16, 41)):
+            dag = build_dag(g, *tables(g))
+            perm = np.random.default_rng(13).permutation(dag.num_arcs)
+            shuffled = dataclasses.replace(dag, arc_src=dag.arc_src[perm], arc_dst=dag.arc_dst[perm])
+            assert dag_to_dot(shuffled) == dag_to_dot(dag)
+
     def test_dot_dump(self):
         g = path(4)
         dm, rt, rq = tables(g)
@@ -296,6 +306,14 @@ class TestSolvePath:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * table_bytes, f"peak {peak} B against {table_bytes} B of tables"
+
+    def test_chain_reusing_a_center_is_internal_error(self, monkeypatch):
+        g = path(6)
+        rho = apsp(g).radius
+        chain = [_state_id(1, 1, 0, rho), _state_id(1, 2, 1, rho)]
+        monkeypatch.setattr(pathdag, "_solve_states", lambda *args: (3, chain))
+        with pytest.raises(InternalError, match="reuses a center"):
+            solve_path(g)
 
     def test_left_size_check_survives_optimize_flag(self):
         # with every non-source state given one left size, arcs between
