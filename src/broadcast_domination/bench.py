@@ -2,8 +2,11 @@
 baseline on identical instances.
 
 Both solvers run single-threaded on the same generated graph; per instance
-the harness records the median wall-clock time over the configured
-repetitions and the returned cost.  Costs must agree on every row; a
+the harness records the median wall-clock time of each solver over the
+configured repetitions and the returned cost.  The repetitions run
+round-robin: each round solves every instance with both solvers before the
+next round starts, so a slow spell of the host spreads over all instances
+instead of skewing one.  Costs must agree on every instance; a
 disagreement is a correctness bug and aborts the run.  Timing numbers are
 environment noise by nature, so determinism guarantees cover everything
 except the time columns.
@@ -27,9 +30,7 @@ from .peel import solve_optimal
 __all__ = [
     "BenchCostMismatch",
     "BenchTimeout",
-    "BenchRow",
-    "FamilyAggregate",
-    "BenchReport",
+    "BenchResult",
     "run_bench",
     "report_to_csv",
     "format_table",
@@ -54,31 +55,23 @@ class BenchTimeout(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BenchRow:
+class BenchResult:
+    """One instance timed with both solvers: the median ms of each over
+    `reps` solves, and the cost they agree on."""
+
     family: str
     n: int
     seed: int
     task: str
-    solver: str
     reps: int
-    median_ms: float
+    new_ms: float
+    base_ms: float
     cost: int
-    threads: int = 1
 
-
-@dataclass(frozen=True)
-class FamilyAggregate:
-    family: str
-    cases: int
-    max_n: int
-    median_speedup: float
-    max_speedup: float
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    rows: tuple[BenchRow, ...]
-    aggregates: tuple[FamilyAggregate, ...]
+    @property
+    def speedup(self) -> float | None:
+        """Baseline time over new time; None when the new time reads 0."""
+        return self.base_ms / self.new_ms if self.new_ms > 0 else None
 
 
 def _solver_fn(task: str, solver: str) -> Callable[[Graph], object]:
@@ -90,21 +83,17 @@ def _solver_fn(task: str, solver: str) -> Callable[[Graph], object]:
     raise ValueError(f"unknown task {task!r}; known: {', '.join(TASKS)}")
 
 
-def _time_solver(fn, g: Graph, reps: int, timeout: float | None):
-    """Median solve time in ms and the cost.  The timeout aborts the run
-    after a solve slower than it; it is checked once the solve has
-    returned, so it never interrupts one."""
-    times = []
-    cost = None
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        bc = fn(g)
-        dt = time.perf_counter() - t0
-        if timeout is not None and dt > timeout:
-            raise BenchTimeout(f"single solve took {dt:.3f}s, over the {timeout:.3f}s limit")
-        times.append(dt)
-        cost = bc.cost
-    return statistics.median(times) * 1000.0, cost
+def _timed_cost(fn, g: Graph, timeout: float | None, times: list[float]) -> int:
+    """Solve once, append the wall time in seconds to times and return the
+    cost.  The timeout aborts the run after a solve slower than it; it is
+    checked once the solve has returned, so it never interrupts one."""
+    t0 = time.perf_counter()
+    cost = fn(g).cost
+    dt = time.perf_counter() - t0
+    if timeout is not None and dt > timeout:
+        raise BenchTimeout(f"single solve took {dt:.3f}s, over the {timeout:.3f}s limit")
+    times.append(dt)
+    return cost
 
 
 def run_bench(
@@ -112,87 +101,67 @@ def run_bench(
     task: str = "optimal",
     reps: int = 5,
     timeout: float | None = None,
-) -> BenchReport:
-    """Run both solvers on every instance and aggregate speedups per family."""
+) -> list[BenchResult]:
+    """Time both solvers on every instance, round-robin over the instances;
+    one result per spec, in spec order."""
     if reps < 1:
         raise ValueError(f"reps must be at least 1, got {reps}")
     new_fn = _solver_fn(task, SOLVER_NEW)
     base_fn = _solver_fn(task, SOLVER_BASELINE)
-    rows: list[BenchRow] = []
     graphs = [generate(spec) for spec in specs]  # a bad spec fails before any solve
-    for spec, g in zip(specs, graphs):
-        new_ms, new_cost = _time_solver(new_fn, g, reps, timeout)
-        base_ms, base_cost = _time_solver(base_fn, g, reps, timeout)
-        if new_cost != base_cost:
-            raise BenchCostMismatch(
-                f"cost mismatch on {spec.family} n={spec.n} seed={spec.seed}: "
-                f"{SOLVER_NEW}={new_cost} {SOLVER_BASELINE}={base_cost}"
-            )
-        rows.append(BenchRow(spec.family, spec.n, spec.seed, task, SOLVER_NEW, reps, new_ms, new_cost))
-        rows.append(BenchRow(spec.family, spec.n, spec.seed, task, SOLVER_BASELINE, reps, base_ms, base_cost))
-    return BenchReport(rows=tuple(rows), aggregates=_aggregate(rows))
+    new_times: list[list[float]] = [[] for _ in specs]  # seconds, per instance
+    base_times: list[list[float]] = [[] for _ in specs]
+    costs = [0] * len(specs)
+    for _ in range(reps):
+        for i, (spec, g) in enumerate(zip(specs, graphs)):
+            new_cost = _timed_cost(new_fn, g, timeout, new_times[i])
+            base_cost = _timed_cost(base_fn, g, timeout, base_times[i])
+            if new_cost != base_cost:
+                raise BenchCostMismatch(
+                    f"cost mismatch on {spec.family} n={spec.n} seed={spec.seed}: "
+                    f"{SOLVER_NEW}={new_cost} {SOLVER_BASELINE}={base_cost}"
+                )
+            costs[i] = new_cost
+    return [
+        BenchResult(s.family, s.n, s.seed, task, reps, statistics.median(nt) * 1e3, statistics.median(bt) * 1e3, c)
+        for s, nt, bt, c in zip(specs, new_times, base_times, costs)
+    ]
 
 
 _CSV_FIELDS = ["family", "n", "seed", "task", "solver", "reps", "median_ms", "cost", "threads"]
 
 
-def report_to_csv(report: BenchReport) -> str:
-    """Rows only; aggregates are derived from them."""
+def report_to_csv(results: list[BenchResult]) -> str:
+    """Two rows per instance, new solver first; threads is always 1."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_CSV_FIELDS)
-    for r in report.rows:
-        w.writerow([r.family, r.n, r.seed, r.task, r.solver, r.reps, repr(r.median_ms), r.cost, r.threads])
+    for r in results:
+        for solver, ms in ((SOLVER_NEW, r.new_ms), (SOLVER_BASELINE, r.base_ms)):
+            w.writerow([r.family, r.n, r.seed, r.task, solver, r.reps, repr(ms), r.cost, 1])
     return buf.getvalue()
 
 
-def _speedups(rows) -> dict[tuple, float]:
-    """Baseline time over new time per (family, n, seed, task) instance that
-    has both rows and a positive new time."""
-    by_instance: dict[tuple, dict[str, float]] = {}
-    for r in rows:
-        by_instance.setdefault((r.family, r.n, r.seed, r.task), {})[r.solver] = r.median_ms
-    return {
-        key: pair[SOLVER_BASELINE] / pair[SOLVER_NEW]
-        for key, pair in by_instance.items()
-        if SOLVER_NEW in pair and SOLVER_BASELINE in pair and pair[SOLVER_NEW] > 0
-    }
-
-
-def _aggregate(rows) -> tuple[FamilyAggregate, ...]:
-    speedups: dict[str, list[float]] = {}
-    for (family, _, _, _), speedup in _speedups(rows).items():
-        speedups.setdefault(family, []).append(speedup)
-    out = []
-    for family in sorted(speedups):
-        fam_rows = [r for r in rows if r.family == family]
-        out.append(
-            FamilyAggregate(
-                family=family,
-                cases=len(speedups[family]),
-                max_n=max(r.n for r in fam_rows),
-                median_speedup=statistics.median(speedups[family]),
-                max_speedup=max(speedups[family]),
-            )
-        )
-    return tuple(out)
-
-
-def format_table(report: BenchReport) -> str:
-    """Human-readable per-family summary."""
+def format_table(results: list[BenchResult]) -> str:
+    """Human-readable per-family summary of the instances with a speedup;
+    max n is over all of a family's instances."""
     lines = [f"{'family':<14}{'cases':>6}{'max n':>7}{'median speedup':>16}{'max speedup':>13}"]
-    for a in report.aggregates:
-        lines.append(
-            f"{a.family:<14}{a.cases:>6}{a.max_n:>7}{a.median_speedup:>15.2f}x{a.max_speedup:>12.2f}x"
-        )
+    for family in sorted({r.family for r in results}):
+        fam = [r for r in results if r.family == family]
+        speedups = [r.speedup for r in fam if r.speedup is not None]
+        if speedups:
+            max_n = max(r.n for r in fam)
+            median, best = statistics.median(speedups), max(speedups)
+            lines.append(f"{family:<14}{len(speedups):>6}{max_n:>7}{median:>15.2f}x{best:>12.2f}x")
     return "\n".join(lines) + "\n"
 
 
-def speedup_csv(report: BenchReport) -> str:
+def speedup_csv(results: list[BenchResult]) -> str:
     """Per-instance speedup data for external plotting."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["family", "n", "seed", "task", "speedup"])
-    for (family, n, seed, task), speedup in sorted(_speedups(report.rows).items()):
-        w.writerow([family, n, seed, task, repr(speedup)])
+    for r in sorted(results, key=lambda r: (r.family, r.n, r.seed, r.task)):
+        if r.speedup is not None:
+            w.writerow([r.family, r.n, r.seed, r.task, repr(r.speedup)])
     return buf.getvalue()

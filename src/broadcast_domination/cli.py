@@ -192,12 +192,12 @@ def cmd_bench(args) -> int:
         except ValueError:
             raise ValueError(f"--n must be a comma list of integers, got {item!r} in {args.n!r}") from None
     specs = [GeneratorSpec(family=f, n=n, seed=args.seed) for f in families for n in sizes]
-    report = run_bench(specs, task=args.task, reps=args.reps, timeout=args.timeout)
-    sys.stdout.write(format_table(report))
+    results = run_bench(specs, task=args.task, reps=args.reps, timeout=args.timeout)
+    sys.stdout.write(format_table(results))
     if args.out:
-        _write_text(args.out, report_to_csv(report))
+        _write_text(args.out, report_to_csv(results))
     if args.plot_out:
-        _write_text(args.plot_out, speedup_csv(report))
+        _write_text(args.plot_out, speedup_csv(results))
     return EXIT_OK
 
 

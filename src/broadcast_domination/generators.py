@@ -191,7 +191,15 @@ def generate(spec: GeneratorSpec) -> Graph:
         raise ValueError(f"family {family!r} has no parameter {unknown[0]!r}; it takes: {', '.join(takes) or 'none'}")
     if build is None:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    g = build(n, spec.seed, **{key: takes[key](value) for key, value in spec.extra.items() if value is not None})
+    params = {}
+    for key, value in spec.extra.items():
+        if value is not None:
+            try:
+                params[key] = takes[key](value)
+            except ValueError:
+                kind = takes[key].__name__
+                raise ValueError(f"family {family!r} parameter {key!r} must be {kind}, got {value!r}") from None
+    g = build(n, spec.seed, **params)
     if not is_connected(g):
         raise InternalError(f"generator {family!r} produced a disconnected graph")
     return g

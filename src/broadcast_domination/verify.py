@@ -216,5 +216,8 @@ def parse_broadcast(text: str) -> Broadcast:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"expected 'vertex power', got {line!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValueError(f"non-integer vertex or power in {line!r}") from None
     return Broadcast.from_pairs(pairs)

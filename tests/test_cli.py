@@ -129,6 +129,13 @@ class TestVerify:
         assert fields["efficient"] == "false" and fields["witness_overlap"] == "0,1"
         assert fields["path_shaped"] == "n/a" and "witness_shape" not in fields
 
+    def test_bad_broadcast_line_named(self, tmp_path):
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("1 1\na 1\n")
+        res = run_cli(["verify", "--broadcast", str(bfile)], P4)
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr == "error: non-integer vertex or power in 'a 1'\n", res.stderr
+
     def test_unknown_check_rejected(self, tmp_path):
         bfile = tmp_path / "b.txt"
         bfile.write_text("1 2\n")
@@ -149,10 +156,13 @@ class TestGen:
         assert len(res.stdout.splitlines()) == 1 + 28  # complete graph
 
     def test_unknown_extra_rejected(self):
-        for family, item in (("barbell", "bel=4"), ("path", "p=0.5"), ("sparse-random", "bell=3")):
+        # an unknown parameter, or a value that does not convert, names both
+        unknown = (("barbell", "bel=4"), ("path", "p=0.5"), ("sparse-random", "bell=3"))
+        for family, item in (*unknown, ("barbell", "bell=x"), ("sparse-random", "p=")):
             res = run_cli(["gen", "--family", family, "--n", "9", "--extra", item])
             assert res.returncode == 1 and res.stdout == "", (family, item)
-            assert res.stderr.startswith("error: family") and len(res.stderr.splitlines()) == 1
+            assert res.stderr.startswith(f"error: family {family!r}") and len(res.stderr.splitlines()) == 1
+            assert repr(item.partition("=")[0]) in res.stderr, res.stderr
 
     def test_bad_family(self):
         assert run_cli(["gen", "--family", "mesh", "--n", "5"]).returncode == 1
