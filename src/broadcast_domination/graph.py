@@ -43,8 +43,9 @@ MAX_VERTICES = 32000
 
 
 class GraphTooLargeError(ValueError):
-    """A vertex count of MAX_VERTICES or more: rejected before any
-    per-vertex allocation."""
+    """A vertex count of MAX_VERTICES or more, rejected before any
+    per-vertex allocation, or path tables larger than physical memory,
+    rejected before they are allocated."""
 
 
 def check_vertex_count(n: int) -> None:

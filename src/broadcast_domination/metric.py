@@ -9,7 +9,9 @@ sweep; balls whose complement has more than two components never become
 states, so only their component count is kept.  Per center the Python work
 is the shell-by-shell disjoint-set build and the copy of its roots into the
 two-component rows; filling the one-component rows and turning roots into
-labels are array passes over all centers at once.
+labels are array passes over all centers at once.  The requirement table
+takes each frontier slice's row maximum one member rank at a time, so its
+NumPy calls grow with the largest slice, not with the number of slices.
 """
 
 from __future__ import annotations
@@ -177,15 +179,28 @@ class RequirementTable:
         return int(self.req[v, p, label - 1, w])
 
 
+# up to this many group-by-vertex cells a block takes its group maxima with
+# one maximum.reduceat, which makes fewer NumPy calls than the rank loop;
+# every small-batch graph (n <= 12) lies below, the path-case graphs far above
+_REDUCEAT_CELLS = 1 << 11
+
+
 def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> RequirementTable:
     """Fill the requirement table in O(n^3).
 
     A vertex z neighbors B(v, p) exactly when dist(v, z) = p + 1, so every
     ordered pair (v, z) contributes to one radius only.  Pairs are grouped
-    by (center, radius, component) and the max over each group's distance
-    rows is taken vectorized, for a block of centers at a time: a block
-    gathers at most about 2**18 distance entries, so small graphs take one
-    pass and large ones stay within a small fraction of the table.
+    by (center, radius, component), for a block of centers at a time: a
+    block reads at most about 2**18 distance entries, so small graphs take
+    one pass and large ones stay within a small fraction of the table.
+
+    Each group's maximum over its members' distance rows is taken by member
+    rank.  With the groups sorted by size, largest first, those with more
+    than r members are a prefix, so one np.maximum per rank r folds every
+    group's r-th row in.  That is one NumPy call per rank, where
+    maximum.reduceat along axis 0 runs its inner loop once per group and
+    column; only blocks of at most _REDUCEAT_CELLS group-by-vertex cells
+    still take the single reduceat.
     """
     n = g.n
     rho = rt.rho
@@ -205,5 +220,15 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
         order = np.argsort(key, kind="stable")
         zs, key = zs[order], key[order]
         starts = _run_starts(key)
-        rows[key[starts]] = np.maximum.reduceat(dist[zs], starts, axis=0)
+        if starts.size * n <= _REDUCEAT_CELLS:
+            rows[key[starts]] = np.maximum.reduceat(dist[zs], starts, axis=0)
+            continue
+        sizes = np.diff(starts, append=key.size)
+        first = starts[np.argsort(-sizes, kind="stable")]  # largest group first
+        out = dist[zs[first]]
+        more = (starts.size - np.cumsum(np.bincount(sizes))).tolist()  # groups with > r members
+        for r in range(1, len(more) - 1):
+            c = more[r]
+            np.maximum(out[:c], dist[zs[first[:c] + r]], out=out[:c])
+        rows[key[first]] = out
     return RequirementTable(req=req)

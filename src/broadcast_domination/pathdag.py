@@ -25,11 +25,12 @@ baseline only restricts which balls may start a chain.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, DistanceMatrix, Graph, InternalError, apsp
+from .graph import DisconnectedGraphError, DistanceMatrix, Graph, GraphTooLargeError, InternalError, apsp
 from .metric import RequirementTable, ResidualTable, _run_starts, requirement_table, residual_decompositions
 from .verify import Broadcast
 
@@ -183,6 +184,12 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     decide the rest.  Its left label is 0 on a one-component ball, else the
     label not facing w.  Every source is checked to have a smaller left size
     than its target, so targets walked in order only read finished sources.
+
+    The three tests that read only tau's own rows (v in the left
+    component, tau's facing frontier covered: req[w, q, l-1, v] <= p, and
+    p <= rho) run first, densely on the batch's target x vertex block, so
+    only the candidates that pass them reach the per-candidate gathers of
+    kappa, the facing label and sigma's requirement.
     """
     exists, left_size, is_source, _ = states
     n, rho = rt.n, rt.rho
@@ -190,27 +197,38 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     kappa, labels, reqs = rt.kappa.reshape(-1), rt.comp_label.reshape(-1), req.req.reshape(-1)
     targets = np.flatnonzero(exists & ~is_source)
     targets = targets[np.argsort(left_size[targets], kind="stable")]
-    # a target has left_size candidates; batches of about max(n^2/2, 2^13)
-    # of them are few on small graphs and small beside the tables on large
-    # ones (about 120 bytes per candidate against 6 n^2 rho table bytes)
-    batch = np.cumsum(left_size[targets]) // max(n * n // 2, 1 << 13)
+    # a target costs left_size candidates at about 120 bytes each and one
+    # row of the dense target x vertex block at about 6 bytes per vertex,
+    # n // 20 candidates' worth; batches of about max(n^2/2, 2^13) such
+    # units are few on small graphs and small beside the tables on large
+    # ones (6 n^2 rho table bytes)
+    batch = np.cumsum(left_size[targets] + n // 20) // max(n * n // 2, 1 << 13)
     cuts = [*_run_starts(batch).tolist(), targets.size]
     for a, b in zip(cuts, cuts[1:]):
         taus = targets[a:b]
         w, q, left = _decode(taus, rho)
-        facing = (w * (rho + 1) + q) * 2 + left - 1  # req row of tau's left side
-        pos, v = np.nonzero(rt.comp_label[w, q] == left[:, None])
-        w, q = w[pos], q[pos]
-        p = dm.dist[v, w] - q - 1
-        vp = v * (rho + 1) + np.where(p <= rho, p, 0)  # kappa is 0 at power 0
+        # target x vertex block; p = dist(w, v) - q - 1 lies in [-n, n), so
+        # int16 holds it
+        p = dm.dist[w]
+        p -= (q + 1).astype(np.int16)[:, None]
+        ok = rt.comp_label[w, q] == left[:, None]
+        ok &= req.req[w, q, left - 1] <= p
+        ok &= p <= rho
+        cell = np.flatnonzero(ok)
+        pos, v = np.divmod(cell, n)
+        p = p.reshape(-1)[cell]
+        vp = v * (rho + 1) + p  # p >= 0 outside the ball; kappa is 0 at power 0
         k = kappa[vp]
         m = (k >= 1) & (k <= 2)
-        pos, v, w, q, p, k, vp = pos[m], v[m], w[m], q[m], p[m], k[m], vp[m]
-        rlab = labels[vp * n + w].astype(np.int64)
-        m = (reqs[(vp * 2 + rlab - 1) * n + w] <= q) & (reqs[facing[pos] * n + v] <= p)
-        pos, v, p, k, rlab = pos[m], v[m], p[m], k[m], rlab[m]
-        src = _state_id(v, p, np.where(k == 1, 0, 3 - rlab), rho)
-        dst = taus[pos]
+        pos, v, p, k, vp = pos[m], v[m], p[m], k[m], vp[m]
+        w = w[pos]
+        rlab = labels[vp * n + w]
+        # after the facing test, sigma's requirement test has rejected no
+        # candidate on any graph measured, so ids are built first and only
+        # the two id arrays are compressed
+        m = reqs[(vp * 2 + rlab - 1) * n + w] <= q[pos]
+        src = _state_id(v, p, np.where(k == 1, 0, 3 - rlab), rho)[m]
+        dst = taus[pos[m]]
         # acyclicity witness: the left side strictly grows along every arc
         if (left_size[src] >= left_size[dst]).any():
             raise InternalError("an arc does not grow the left side")
@@ -292,12 +310,39 @@ def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, 
     return int(cost[end]), chain
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where os.sysconf does not say."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
+
+
+_PHYSICAL_MEMORY = _physical_memory()  # read once, at import
+
+
+def _table_bytes(n: int, rad: int) -> int:
+    """Bytes of the path tables of an n-vertex graph of radius rad: int16
+    labels, 2 n^2 (rad+1), int16 requirements, 4 n^2 (rad+1), and the two
+    bool masks of the label relabel pass, n^2 (rad+1) each."""
+    return 8 * n * n * (rad + 1)
+
+
 def _path_tables(h: Graph, solver: str):
     """Distances, residual and requirement tables of a connected graph with
-    at least two vertices; solver names the caller in the error."""
+    at least two vertices; solver names the caller in the error.  Tables
+    that would not fit in physical memory are refused before they are
+    allocated."""
     dm = apsp(h)
     if not dm.connected:
         raise DisconnectedGraphError(f"{solver} requires a connected graph")
+    need = _table_bytes(h.n, dm.radius)
+    if _PHYSICAL_MEMORY is not None and need > _PHYSICAL_MEMORY:
+        raise GraphTooLargeError(
+            f"{solver}: the tables of {h.n} vertices at radius {dm.radius} need about "
+            f"{need / 2**30:.1f} GiB, more than the {_PHYSICAL_MEMORY / 2**30:.1f} GiB of physical memory"
+        )
     rt = residual_decompositions(h, dm)
     return dm, rt, requirement_table(h, dm, rt)
 

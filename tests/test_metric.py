@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree
+from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree, wheel_graph
+from broadcast_domination import metric
 from broadcast_domination.graph import Graph, apsp, bits_of
 from broadcast_domination.metric import _run_starts, _ShellSets, requirement_table, residual_decompositions
 from broadcast_domination.verify import ball_mask
@@ -247,6 +248,25 @@ class TestResidualDecompositions:
                 "913604982f3351fd2f8c7cbb88b989603fbdf290da4f2cdf7e1f26a7da83d9ec",
                 "248a208ac22f48c30ee18ef6f9e1a1cc263cb339a0277e70a5d60403f2b99693",
             ),
+            (
+                # dense: frontier groups of up to 60 members, so the
+                # requirement maxima fold many member ranks
+                "wheel-64",
+                wheel_graph(64),
+                "4acf5b61a9e68867e4e45ecb385c3790e216419c3dffa24b2e4551d779e78402",
+                "dc6d198bdf8190a052f39b075dd0ff60e8a5ad5d5e5bb73cc8a2330d96ef05c0",
+                "bd17850762dd9cc23e06095dc949ae182f3c2f15e07ca1660c10beda492d4f91",
+                "21761acc94ae23fa8437923501f8f1bb7d122a66cdd525170ffed49c68382573",
+            ),
+            (
+                # small enough for the single maximum.reduceat
+                "barbell-12",
+                barbell_graph(12),
+                "82e1b32d4054cf531a621f62af827e2610b8cec1d41374ce556fd58e463398eb",
+                "ebf8cd228ffbb3468e751478644577e2867da7fd4c3d0f30c735ab8aa8f2d775",
+                "d9bc227343583bd1347fa82b126f916ceb3325f0009a134e98f5c513b7b2a932",
+                "94b83d4ec2c682966477cb741d16d53f33ada156881e3dda678a7a051614443e",
+            ),
         ]
         for name, g, *want in pinned:
             _, rt, rq = tables(g)
@@ -287,6 +307,16 @@ class TestRequirements:
         lab = int(rt.comp_label[1, 1, 3])
         assert rq.value(1, 1, lab, 4) == 1  # frontier {3}, dist(4,3)=1
         assert rq.value(1, 1, lab, 5) == 2
+
+    def test_rank_fold_matches_reduceat(self, monkeypatch, small_random_graphs):
+        # the two ways of taking the group maxima, forced on every block
+        graphs = [*small_random_graphs[:40], wheel_graph(33), barbell_graph(40), random_tree(60, 5)]
+        for g in graphs:
+            dm, rt, _ = tables(g)
+            monkeypatch.setattr(metric, "_REDUCEAT_CELLS", 0)
+            ranks = requirement_table(g, dm, rt).req
+            monkeypatch.setattr(metric, "_REDUCEAT_CELLS", 1 << 62)
+            assert np.array_equal(ranks, requirement_table(g, dm, rt).req)
 
     def test_default_zero(self):
         _, rt, rq = tables(path(4))

@@ -9,10 +9,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from broadcast_domination import pathdag
+from broadcast_domination import cli, pathdag
 from broadcast_domination.anchored import solve_path_anchored
 from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree
-from broadcast_domination.graph import Graph, InternalError, apsp, bits_of, is_connected
+from broadcast_domination.graph import Graph, GraphTooLargeError, InternalError, apsp, bits_of, is_connected
 from broadcast_domination.metric import requirement_table, residual_decompositions
 from broadcast_domination.oracle import oracle_gamma_path
 from broadcast_domination.pathdag import (
@@ -206,6 +206,9 @@ class TestBuildDag:
             ("barbell-12", barbell_graph(12), "1d17b9f6ce169293d478469daea47bd8370ed6fd31992bd49be558e8372bb329"),
             ("random-16-41", random_connected_graph(16, 41), "a366b24083fa6bbfc3c4b6d049c75b42202df7337568167352cc474a06342c06"),
             ("random-21-42", random_connected_graph(21, 42), "11cb4b3166545b2497625480b7a6d08e23cabce0d5bde4f9ea27b7e417af303c"),
+            # larger graphs, where the target-row tests reject most candidates
+            ("cycle-64", cycle_graph(64), "6f3c584b02b501eefa087c8d98ef42cc9c953ef911fcaa6f49140acd3c1411f5"),
+            ("random-tree-120-3", random_tree(120, 3), "2e9d1d1e89f181787e9e11a510cffad413425d6ab92aba620a42ce2e4ef89d35"),
         ]
         for name, g, want in pinned:
             dm, rt, rq = tables(g)
@@ -290,12 +293,16 @@ class TestSolvePath:
                 assert (a, b) in arcs
                 assert a == pred[b]
 
-    @pytest.mark.parametrize("g", [path_graph(128), cycle_graph(128)], ids=["path128", "cycle128"])
+    @pytest.mark.parametrize(
+        "g", [path_graph(128), cycle_graph(128), barbell_graph(128)], ids=["path128", "cycle128", "barbell128"]
+    )
     def test_memory_within_tables(self, g):
         # the DP pulls in-arcs one left-size batch at a time, so no arc
         # array of cubic length exists while solve_path runs; on the cycle
         # almost every kept ball has one component, so the one-component
-        # label fill must not build a wide temporary over all those rows
+        # label fill must not build a wide temporary over all those rows;
+        # the barbell's tables are small (rad 24), so there the DP's
+        # batches must stay small beside them too
         _, rt, rq = tables(g)
         table_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + rq.req.nbytes
         del rt, rq
@@ -314,6 +321,36 @@ class TestSolvePath:
         monkeypatch.setattr(pathdag, "_solve_states", lambda *args: (3, chain))
         with pytest.raises(InternalError, match="reuses a center"):
             solve_path(g)
+
+    def test_table_estimate_counts_tables_and_relabel_masks(self):
+        # the label and requirement tables plus the relabel pass's two bool
+        # masks of label-table shape; path-3000 would need 100.6 GiB
+        for g in (path(12), cycle_graph(30), barbell_graph(24)):
+            dm, rt, rq = tables(g)
+            want = rt.comp_label.nbytes + rq.req.nbytes + 2 * rt.comp_label.size
+            assert pathdag._table_bytes(g.n, dm.radius) == want
+        assert pathdag._table_bytes(3000, 1500) == 108_072_000_000
+
+    def test_tables_beyond_physical_memory_exit_2(self, monkeypatch, tmp_path, capsys):
+        # the check compares numbers, so a lowered memory figure tests it
+        # without an allocation
+        monkeypatch.setattr(pathdag, "_PHYSICAL_MEMORY", pathdag._table_bytes(12, 6))
+        built = []
+
+        def counting(g, dm):
+            built.append(g.n)
+            return residual_decompositions(g, dm)
+
+        monkeypatch.setattr(pathdag, "residual_decompositions", counting)
+        assert solve_path(path(12)).cost == 4  # exactly at the limit
+        with pytest.raises(GraphTooLargeError, match="physical memory"):
+            solve_path(path(13))
+        assert built == [12]  # path-13 was refused before its tables
+        edges = tmp_path / "p13.edges"
+        edges.write_text("13\n" + "".join(f"{i} {i + 1}\n" for i in range(12)))
+        assert cli.main(["path", "--input", str(edges)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: solve_path: the tables of 13 vertices") and err.count("\n") == 1, err
 
     def test_left_size_check_survives_optimize_flag(self):
         # with every non-source state given one left size, arcs between
