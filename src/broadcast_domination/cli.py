@@ -4,9 +4,10 @@ Reports are line-oriented key:value text so they diff cleanly.  Timing is
 printed only when asked for (--timing), keeping default output byte-stable
 across runs.  Exit codes: 0 success, 1 usage or parse error or a file that
 cannot be read or written, 2 infeasible precondition (disconnected input,
-32 000 or more vertices, oracle size limit, bench timeout), 3 internal
-invariant violation.  Failures print an error line to stderr, not a
-traceback.
+32 000 or more vertices, path tables larger than physical memory, an
+allocation refused for lack of memory, oracle size limit, bench timeout),
+3 internal invariant violation.  Failures print an error line to stderr,
+not a traceback.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from .graph import (
     parse_graph,
     render_graph,
 )
-from .metric import requirement_table, residual_decompositions
 from .oracle import DEFAULT_LIMIT, OracleLimitError, oracle_gamma_b, oracle_gamma_path
-from .pathdag import build_dag, dag_to_dot, solve_path
+from .pathdag import _path_tables, build_dag, dag_to_dot, solve_path
 from .peel import solve_optimal
 from .verify import full_verdict, parse_broadcast
 
@@ -111,12 +111,8 @@ def cmd_path(args) -> int:
     elapsed = time.perf_counter() - t0
     dm = apsp(g)
     if args.dump_dag:
-        if g.n == 1:
-            _write_text(args.dump_dag, "digraph states {\n}\n")
-        else:
-            rt = residual_decompositions(g, dm)
-            req = requirement_table(g, dm, rt)
-            _write_text(args.dump_dag, dag_to_dot(build_dag(g, dm, rt, req)))
+        dot = "digraph states {\n}\n" if g.n == 1 else dag_to_dot(build_dag(g, *_path_tables(g, "build_dag")))
+        _write_text(args.dump_dag, dot)
     _emit(_report_broadcast(g, dm, bc, elapsed if args.timing else None))
     return EXIT_OK
 
@@ -264,6 +260,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (DisconnectedGraphError, GraphTooLargeError, OracleLimitError, BenchTimeout) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INFEASIBLE
+    except MemoryError as exc:  # an allocation refused below physical memory, as under ulimit -v
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'an allocation was refused'}\n")
         return EXIT_INFEASIBLE
     except (ValueError, OSError) as exc:  # GraphFormatError, bad flag values; unreadable or unwritable files
         sys.stderr.write(f"error: {exc}\n")

@@ -5,7 +5,10 @@ balls whose contact graph is a path.  Walking that path left to right, each
 ball sees the already-covered part of the graph on one residual side and
 the uncovered part on the other.  A state is therefore a ball plus an
 orientation of its residual components; an arc says two oriented balls can
-be consecutive.  Every arc strictly grows the left side, so the digraph is
+be consecutive: they touch tightly, each center lies in the other's facing
+component, and each exposed frontier is covered.  The successor's frontier
+test implies the predecessor's (arc_test), so the DP reads one requirement
+per arc.  Every arc strictly grows the left side, so the digraph is
 acyclic and a single DP in left-size order finds the cheapest
 source-to-sink chain, with no per-anchor outer loop.  The DP pulls each
 state's in-arcs straight from the tables; arc arrays are materialized only
@@ -153,7 +156,19 @@ def arc_test(sigma: State, tau: State, dm: DistanceMatrix, rt: ResidualTable, re
     Checks, in order: both facing sides nonempty; contact-tight powers
     within [1, rho]; each center sits in the component the other state has
     facing it; and both exposed frontiers are covered, via two requirement
-    lookups.
+    lookups.  This is the two-sided scalar reference; _in_arcs makes only
+    the second lookup, because contact, the two label tests and the second
+    lookup imply the first.
+
+    Proof.  Let sigma = (v, p), tau = (w, q) and d(v, w) = p + q + 1.  R is
+    the component of G - B(v, p) that holds w; L is tau's left component,
+    which holds v; every u in L with d(w, u) = q + 1 lies in B(v, p).
+    Suppose some z in R with d(v, z) = p + 1 had d(w, z) > q.  The balls
+    are disjoint, so a shortest v-z path stays outside B(w, q), and z is
+    in L.  Since z is in R, some z-w path avoids B(v, p).  Its last vertex
+    u before B(w, q) has d(w, u) = q + 1 and u in L, so u is in B(v, p):
+    a contradiction.  Hence sigma's facing frontier lies in B(w, q), that
+    is req.value(v, p, sigma.right, w) <= q.
     """
     if sigma.right == 0 or tau.left == 0:
         return False
@@ -180,21 +195,22 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     batch: arcs src -> dst grouped by target in that order, source centers
     ascending per group.  For tau = (w, q, l) a predecessor's center v lies
     in tau's left component, contact forces its power p = dist(v, w) - q - 1,
-    and kappa, the facing label and arc_test's two requirement lookups
-    decide the rest.  Its left label is 0 on a one-component ball, else the
-    label not facing w.  Every source is checked to have a smaller left size
-    than its target, so targets walked in order only read finished sources.
+    and kappa and tau's requirement lookup decide the rest: sigma's lookup,
+    arc_test's other one, follows from them (proof in arc_test).  The
+    predecessor's left label is 0 on a one-component ball, else the label
+    not facing w.  Every source is checked to have a smaller left size than
+    its target, so targets walked in order only read finished sources.
 
     The three tests that read only tau's own rows (v in the left
     component, tau's facing frontier covered: req[w, q, l-1, v] <= p, and
-    p <= rho) run first, densely on the batch's target x vertex block, so
-    only the candidates that pass them reach the per-candidate gathers of
-    kappa, the facing label and sigma's requirement.
+    p <= rho) run densely on the batch's target x vertex block, so only
+    the candidates that pass them reach the per-candidate gathers of kappa
+    and the facing label.
     """
     exists, left_size, is_source, _ = states
     n, rho = rt.n, rt.rho
     # flat views; (center, power) row r = center * (rho + 1) + power
-    kappa, labels, reqs = rt.kappa.reshape(-1), rt.comp_label.reshape(-1), req.req.reshape(-1)
+    kappa, labels = rt.kappa.reshape(-1), rt.comp_label.reshape(-1)
     targets = np.flatnonzero(exists & ~is_source)
     targets = targets[np.argsort(left_size[targets], kind="stable")]
     # a target costs left_size candidates at about 120 bytes each and one
@@ -221,14 +237,9 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
         k = kappa[vp]
         m = (k >= 1) & (k <= 2)
         pos, v, p, k, vp = pos[m], v[m], p[m], k[m], vp[m]
-        w = w[pos]
-        rlab = labels[vp * n + w]
-        # after the facing test, sigma's requirement test has rejected no
-        # candidate on any graph measured, so ids are built first and only
-        # the two id arrays are compressed
-        m = reqs[(vp * 2 + rlab - 1) * n + w] <= q[pos]
-        src = _state_id(v, p, np.where(k == 1, 0, 3 - rlab), rho)[m]
-        dst = taus[pos[m]]
+        rlab = labels[vp * n + w[pos]]
+        src = _state_id(v, p, np.where(k == 1, 0, 3 - rlab), rho)
+        dst = taus[pos]
         # acyclicity witness: the left side strictly grows along every arc
         if (left_size[src] >= left_size[dst]).any():
             raise InternalError("an arc does not grow the left side")

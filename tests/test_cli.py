@@ -1,6 +1,10 @@
 import subprocess
 import sys
 
+import pytest
+
+from broadcast_domination import cli, pathdag
+
 P4 = "4\n0 1\n1 2\n2 3\n"
 P6 = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 C9 = "9\n" + "".join(f"{i} {(i + 1) % 9}\n" for i in range(9))
@@ -62,6 +66,20 @@ class TestPath:
         assert res.returncode == 0
         text = dag_file.read_text()
         assert text.startswith("digraph states {") and "->" in text
+
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 1.00 GiB"), MemoryError()])
+    def test_out_of_memory_exit_2(self, exc, monkeypatch, tmp_path, capsys):
+        # an allocation refused although the tables passed the physical
+        # memory estimate, as under ulimit -v, is one error line and exit 2
+        def refuse(g, dm, rt):
+            raise exc
+
+        monkeypatch.setattr(pathdag, "requirement_table", refuse)
+        f = tmp_path / "p6.edges"
+        f.write_text(P6)
+        assert cli.main(["path", "--input", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
 
 
 class TestOracle:

@@ -4,14 +4,21 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
 
 from broadcast_domination import cli, pathdag
 from broadcast_domination.anchored import solve_path_anchored
-from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree
+from broadcast_domination.generators import (
+    barbell_graph,
+    cycle_graph,
+    path_graph,
+    random_tree,
+    sparse_random,
+    wheel_graph,
+)
 from broadcast_domination.graph import Graph, GraphTooLargeError, InternalError, apsp, bits_of, is_connected
 from broadcast_domination.metric import requirement_table, residual_decompositions
 from broadcast_domination.oracle import oracle_gamma_path
@@ -27,7 +34,7 @@ from broadcast_domination.pathdag import (
 )
 from broadcast_domination.verify import ball_mask, verify_dominating, verify_efficient, verify_path_shaped
 
-from conftest import connected_graphs, iter_bits, members, random_connected_graph
+from conftest import connected_graphs, iter_bits, members, random_connected_graph, random_suite
 
 
 def path(n):
@@ -175,9 +182,12 @@ class TestBuildDag:
         assert (wanted_src, wanted_dst) in pairs
 
     def test_matches_scalar_arc_test(self, small_random_graphs):
-        # the vectorized builder and the constant-time scalar test are two
-        # routes to the same arc set
-        for g in small_random_graphs[:30]:
+        # the vectorized builder and the two-sided scalar test are two
+        # routes to the same arc set; the builder makes only tau's
+        # requirement lookup, so every connected graph with 2-6 vertices
+        # checks that sigma's never rejects an arc there
+        exhaustive = (g for n in range(2, 7) for g in connected_graphs(n))
+        for g in chain(small_random_graphs[:30], exhaustive):
             dm, rt, rq = tables(g)
             dag = build_dag(g, dm, rt, rq)
             got = set(zip(dag.arc_src.tolist(), dag.arc_dst.tolist()))
@@ -189,6 +199,27 @@ class TestBuildDag:
                     if arc_test(s, t, dm, rt, rq):
                         want.add((sid(s), sid(t)))
             assert got == want
+
+    def test_arcs_cover_sigma_frontier(self):
+        # the requirement lookup build_dag skips, checked on every arc of
+        # graphs too large for the scalar test: w lies in a residual
+        # component of B(v, p), and B(w, q) covers its frontier there
+        shapes = [
+            path_graph(64),
+            cycle_graph(64),
+            barbell_graph(60),
+            random_tree(120, 3),
+            wheel_graph(32),
+            sparse_random(40, 1, p=0.3),
+        ]
+        for g in chain(random_suite(500, 7, 40, 3000), shapes):
+            dm, rt, rq = tables(g)
+            dag = build_dag(g, dm, rt, rq)
+            v, p, _ = _decode(dag.arc_src, dag.rho)
+            w, q, _ = _decode(dag.arc_dst, dag.rho)
+            label = rt.comp_label[v, p, w]
+            assert (label >= 1).all()
+            assert (rq.req[v, p, label - 1, w] <= q).all()
 
     def test_arcs_grow_left_size(self, small_random_graphs):
         for g in small_random_graphs[:20]:
