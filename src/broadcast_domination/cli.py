@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from .anchored import solve_path_anchored
+from .anchored import _anchored_broadcast, solve_path_anchored
 from .bench import TASKS, BenchTimeout, format_table, report_to_csv, run_bench, speedup_csv
 from .generators import FAMILIES, GeneratorSpec, generate
 from .graph import (
@@ -30,7 +30,7 @@ from .graph import (
     render_graph,
 )
 from .oracle import DEFAULT_LIMIT, OracleLimitError, oracle_gamma_b, oracle_gamma_path
-from .pathdag import _path_tables, build_dag, dag_to_dot, solve_path
+from .pathdag import _path_tables, _solve_broadcast, build_dag, dag_to_dot, solve_path
 from .peel import solve_optimal
 from .verify import full_verdict, parse_broadcast
 
@@ -107,12 +107,14 @@ def cmd_solve(args) -> int:
 def cmd_path(args) -> int:
     g = _load_graph(args)
     t0 = time.perf_counter()
-    bc = solve_path_anchored(g) if args.baseline else solve_path(g)
+    # one table build serves the solve, the report and the dump
+    dm, rt, req = _path_tables(g, "anchored solver" if args.baseline else "solve_path")
+    bc = (_anchored_broadcast if args.baseline else _solve_broadcast)(dm, rt, req)
     elapsed = time.perf_counter() - t0
-    dm = apsp(g)
     if args.dump_dag:
-        dot = "digraph states {\n}\n" if g.n == 1 else dag_to_dot(build_dag(g, *_path_tables(g, "build_dag")))
-        _write_text(args.dump_dag, dot)
+        dag = build_dag(g, dm, rt, req)
+        del rt, req  # freed before the DOT text, the command's largest allocation
+        _write_text(args.dump_dag, dag_to_dot(dag))
     _emit(_report_broadcast(g, dm, bc, elapsed if args.timing else None))
     return EXIT_OK
 

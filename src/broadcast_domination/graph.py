@@ -45,7 +45,9 @@ MAX_VERTICES = 32000
 class GraphTooLargeError(ValueError):
     """A vertex count of MAX_VERTICES or more, rejected before any
     per-vertex allocation, or path tables larger than physical memory,
-    rejected before they are allocated."""
+    rejected before they are allocated.  When the tables are a peel
+    residual's, solve_optimal re-raises the refusal naming its input's
+    vertex count and the peeled ball."""
 
 
 def check_vertex_count(n: int) -> None:

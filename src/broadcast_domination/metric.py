@@ -110,11 +110,10 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     row as it stands (-1 inside the ball).  After the sweep one int16 pass
     fills every one-component row from the distance matrix (root 0 outside,
     negative inside), and one array pass turns roots into first-touch
-    labels and counts the component sizes.
+    labels and counts the component sizes.  The one-vertex graph has radius
+    0 and no ball to remove: its tables are single zero rows.
     """
     n = g.n
-    if n < 2:
-        raise ValueError("residual decompositions need at least two vertices")
     if not dm.connected:
         raise DisconnectedGraphError("residual decompositions require a connected graph")
     rho = dm.radius

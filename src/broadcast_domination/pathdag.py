@@ -23,7 +23,11 @@ place that turns such a triple into a dense id and back; ids ascend with
 
 solve_path and the anchored baseline share the table build (_path_tables)
 and the step from DP chain to checked broadcast (_solve_broadcast); the
-baseline only restricts which balls may start a chain.
+baseline only restricts which balls may start a chain.  The path command
+builds the tables once and hands them to the solve, the report and the
+DOT dump (build_dag).  The one-vertex graph runs through the same code:
+its tables have no ball and its digraph no state, and _solve_broadcast
+turns the missing chain into the zero broadcast.
 """
 
 from __future__ import annotations
@@ -341,10 +345,10 @@ def _table_bytes(n: int, rad: int) -> int:
 
 
 def _path_tables(h: Graph, solver: str):
-    """Distances, residual and requirement tables of a connected graph with
-    at least two vertices; solver names the caller in the error.  Tables
-    that would not fit in physical memory are refused before they are
-    allocated."""
+    """Distances, residual and requirement tables of a connected graph;
+    solver names the caller in the error.  Tables that would not fit in
+    physical memory are refused before they are allocated.  The one-vertex
+    graph has radius 0, so each of its tables is a single zero row."""
     dm = apsp(h)
     if not dm.connected:
         raise DisconnectedGraphError(f"{solver} requires a connected graph")
@@ -360,11 +364,16 @@ def _path_tables(h: Graph, solver: str):
 
 def _solve_broadcast(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, start: np.ndarray | None = None):
     """The cheapest chain from an allowed source (_solve_states) as a
-    broadcast.  A chain always exists: the radial state of a center is a
-    source and a sink, and its ball contains every vertex, so it is allowed
-    under any start mask of balls containing a given vertex."""
+    broadcast.  With two or more vertices a chain always exists: the radial
+    state of a center is a source and a sink, and its ball contains every
+    vertex, so it is allowed under any start mask of balls containing a
+    given vertex.  The one-vertex graph has no ball of power 1 or more, so
+    no state and no chain; it gets the zero broadcast by convention, and
+    this is the one place the path case states that."""
     res = _solve_states(dm, rt, req, start)
     if res is None:
+        if rt.n == 1:
+            return Broadcast(())
         raise InternalError("no source-to-sink chain, but a radial state always exists")
     cost, chain = res
     try:  # a simple chain never revisits a center; enforced, not repaired
@@ -378,9 +387,7 @@ def _solve_broadcast(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTabl
 
 def solve_path(h: Graph) -> Broadcast:
     """Minimum-cost efficient dominating broadcast whose domination graph is
-    a path.  The one-vertex graph gets the zero broadcast by convention."""
-    if h.n == 1:
-        return Broadcast(())
+    a path; the zero broadcast for the one-vertex graph (_solve_broadcast)."""
     return _solve_broadcast(*_path_tables(h, "solve_path"))
 
 

@@ -32,6 +32,7 @@ from .graph import (
     DisconnectedGraphError,
     DistanceMatrix,
     Graph,
+    GraphTooLargeError,
     InternalError,
     apsp,
     bfs_distances,
@@ -94,14 +95,13 @@ def multipacking(dm: DistanceMatrix) -> list[int]:
     Teshima, 2013); on trees the largest multipacking meets gamma_b
     (Mynhardt and Teshima, 2019).  B(v, rad(G)) is the whole graph for a
     central v, so |M| <= rad(G), and the search stops once it gets there.
-    The one-vertex graph (gamma_b = 0 by convention) gets the empty set.
+    The one-vertex graph has radius 0, so it gets the empty set (gamma_b = 0
+    by convention).
 
     Greedy insertion runs in up to two orders and keeps the larger result
     (the first if equal): decreasing distance from a peripheral vertex;
     decreasing eccentricity.  Ties go to the lower index.
     """
-    if dm.radius == 0:
-        return []
     orders = (_by_decreasing(dm.dist[int(np.argmax(dm.ecc))]), _by_decreasing(dm.ecc))
     best: list[int] = []
     for order in orders:
@@ -234,10 +234,15 @@ def _solve_residual(
     path_solver: Callable[[Graph], Broadcast],
 ) -> Candidate:
     """Ball (x, k) plus the path solution of its connected residual h, each
-    residual power capped at its eccentricity in g."""
+    residual power capped at its eccentricity in g.  A refusal of h's
+    tables is re-raised in terms of g, the graph the caller passed."""
+    try:
+        solution = path_solver(h)
+    except GraphTooLargeError as exc:
+        raise GraphTooLargeError(f"solve_optimal: {g.n}-vertex input, residual of ball ({x}, {k}): {exc}") from exc
     assignment = [(x, k)]
     total = k
-    for v_h, p_h in path_solver(h).assignment:
+    for v_h, p_h in solution.assignment:
         orig = back[v_h]
         power = min(p_h, int(dm.ecc[orig]))
         assignment.append((orig, power))
@@ -268,8 +273,9 @@ def solve_optimal(
 ) -> Broadcast:
     """Optimal dominating broadcast of a connected graph.
 
-    Starts from the radial broadcast, then peels every ball (x, k) with
-    1 <= k <= rad(G): an empty residual costs k, a singleton costs k + 1,
+    Starts from the radial broadcast (the zero broadcast on one vertex,
+    whose radius 0 leaves nothing to peel), then peels every ball (x, k)
+    with 1 <= k <= rad(G): an empty residual costs k, a singleton costs k + 1,
     a connected residual costs k plus the path solution with each residual
     power capped at its eccentricity in g, and a disconnected residual is
     skipped.  Ties keep the earliest candidate in (x, k) order, with the
@@ -294,8 +300,6 @@ def solve_optimal(
     about as much as the whole solve.  threads is accepted for
     compatibility and has no effect.
     """
-    if g.n == 1:
-        return Broadcast(())
     dm = apsp(g)
     if not dm.connected:
         raise DisconnectedGraphError("solve_optimal requires a connected graph")

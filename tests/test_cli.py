@@ -5,6 +5,7 @@ import pytest
 
 from broadcast_domination import cli, pathdag
 
+K1 = "1\n"
 P4 = "4\n0 1\n1 2\n2 3\n"
 P6 = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 C9 = "9\n" + "".join(f"{i} {(i + 1) % 9}\n" for i in range(9))
@@ -52,6 +53,17 @@ class TestSolve:
         res = run_cli(["solve", "--input", str(f)])
         assert res.returncode == 0 and kv(res.stdout)["cost"] == "2"
 
+    def test_residual_refusal_names_input(self, monkeypatch, tmp_path, capsys):
+        # peeling (0, 1) off cycle-30 leaves a 27-vertex path whose tables
+        # exceed the lowered memory figure; the error names the 30-vertex input
+        monkeypatch.setattr(pathdag, "_PHYSICAL_MEMORY", pathdag._table_bytes(12, 6))
+        f = tmp_path / "c30.edges"
+        f.write_text("30\n" + "".join(f"{i} {(i + 1) % 30}\n" for i in range(30)))
+        assert cli.main(["solve", "--input", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: solve_optimal: 30-vertex input") and err.count("\n") == 1, err
+        assert "27 vertices" in err, err
+
 
 class TestPath:
     def test_p6(self):
@@ -62,10 +74,36 @@ class TestPath:
 
     def test_dump_dag(self, tmp_path):
         dag_file = tmp_path / "dag.dot"
-        res = run_cli(["path", "--dump-dag", str(dag_file)], P6)
-        assert res.returncode == 0
-        text = dag_file.read_text()
-        assert text.startswith("digraph states {") and "->" in text
+        for flags in ([], ["--baseline"]):
+            res = run_cli(["path", *flags, "--dump-dag", str(dag_file)], P6)
+            assert res.returncode == 0
+            text = dag_file.read_text()
+            assert text.startswith("digraph states {") and "->" in text
+            # the one-vertex graph has no state: an empty digraph, cost 0
+            res = run_cli(["path", *flags, "--dump-dag", str(dag_file)], K1)
+            assert res.returncode == 0 and kv(res.stdout)["cost"] == "0", flags
+            assert dag_file.read_text() == "digraph states {\n}\n", flags
+
+    def test_dump_dag_builds_tables_once(self, monkeypatch, tmp_path):
+        # the solve, the report and the dump share one _path_tables result
+        calls = {"apsp": 0, "residual": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(pathdag, "apsp", counted("apsp", pathdag.apsp))
+        monkeypatch.setattr(cli, "apsp", counted("apsp", cli.apsp))
+        monkeypatch.setattr(pathdag, "residual_decompositions", counted("residual", pathdag.residual_decompositions))
+        f = tmp_path / "p6.edges"
+        f.write_text(P6)
+        for flags in ([], ["--baseline"]):
+            calls.update(apsp=0, residual=0)
+            assert cli.main(["path", *flags, "--input", str(f), "--dump-dag", str(tmp_path / "dag.dot")]) == 0
+            assert calls == {"apsp": 1, "residual": 1}, flags
 
     @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 1.00 GiB"), MemoryError()])
     def test_out_of_memory_exit_2(self, exc, monkeypatch, tmp_path, capsys):

@@ -391,10 +391,15 @@ class TestBallLaws:
 
 
 class TestPreconditions:
-    def test_single_vertex_rejected(self):
+    def test_single_vertex_has_no_balls(self):
+        # radius 0: every table is one zero row, no ball of power 1 or more
         g = Graph.from_edges(1, [])
-        with pytest.raises(ValueError):
-            residual_decompositions(g, apsp(g))
+        dm = apsp(g)
+        rt = residual_decompositions(g, dm)
+        rq = requirement_table(g, dm, rt)
+        assert dm.radius == rt.rho == 0
+        for a, shape in [(rt.kappa, (1, 1)), (rt.comp_label, (1, 1, 1)), (rt.comp_size, (1, 1, 3)), (rq.req, (1, 1, 2, 1))]:
+            assert a.shape == shape and not a.any(), shape
 
     def test_disconnected_rejected(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])

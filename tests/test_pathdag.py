@@ -32,7 +32,7 @@ from broadcast_domination.pathdag import (
     enumerate_states,
     solve_path,
 )
-from broadcast_domination.verify import ball_mask, verify_dominating, verify_efficient, verify_path_shaped
+from broadcast_domination.verify import Broadcast, ball_mask, verify_dominating, verify_efficient, verify_path_shaped
 
 from conftest import connected_graphs, iter_bits, members, random_connected_graph, random_suite
 
@@ -184,9 +184,9 @@ class TestBuildDag:
     def test_matches_scalar_arc_test(self, small_random_graphs):
         # the vectorized builder and the two-sided scalar test are two
         # routes to the same arc set; the builder makes only tau's
-        # requirement lookup, so every connected graph with 2-6 vertices
-        # checks that sigma's never rejects an arc there
-        exhaustive = (g for n in range(2, 7) for g in connected_graphs(n))
+        # requirement lookup, so every connected graph with up to 6
+        # vertices checks that sigma's never rejects an arc there
+        exhaustive = (g for n in range(1, 7) for g in connected_graphs(n))
         for g in chain(small_random_graphs[:30], exhaustive):
             dm, rt, rq = tables(g)
             dag = build_dag(g, dm, rt, rq)
@@ -352,6 +352,29 @@ class TestSolvePath:
         monkeypatch.setattr(pathdag, "_solve_states", lambda *args: (3, chain))
         with pytest.raises(InternalError, match="reuses a center"):
             solve_path(g)
+
+    def test_no_chain_is_zero_broadcast_only_on_one_vertex(self, monkeypatch, tmp_path, capsys):
+        # a DP without a chain is the one-vertex convention, and a bug on
+        # any larger graph
+        monkeypatch.setattr(pathdag, "_solve_states", lambda *args: None)
+        assert solve_path(path(1)) == Broadcast(())
+        with pytest.raises(InternalError, match="no source-to-sink chain"):
+            solve_path(path(6))
+        f = tmp_path / "p6.edges"
+        f.write_text("6\n" + "".join(f"{i} {i + 1}\n" for i in range(5)))
+        assert cli.main(["path", "--input", str(f)]) == 3
+        assert capsys.readouterr().err.startswith("internal error: no source-to-sink chain")
+
+    def test_chain_cost_mismatch_is_internal_error(self, monkeypatch):
+        solve_states = pathdag._solve_states
+
+        def off_by_one(*args):
+            cost, chain = solve_states(*args)
+            return cost + 1, chain
+
+        monkeypatch.setattr(pathdag, "_solve_states", off_by_one)
+        with pytest.raises(InternalError, match="differs from the DP value"):
+            solve_path(path(6))
 
     def test_table_estimate_counts_tables_and_relabel_masks(self):
         # the label and requirement tables plus the relabel pass's two bool
