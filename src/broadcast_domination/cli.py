@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 from .anchored import _anchored_broadcast, solve_path_anchored
@@ -30,7 +31,7 @@ from .graph import (
     render_graph,
 )
 from .oracle import DEFAULT_LIMIT, OracleLimitError, oracle_gamma_b, oracle_gamma_path
-from .pathdag import _path_tables, _solve_broadcast, build_dag, dag_to_dot, solve_path
+from .pathdag import _dot_chunks, _path_tables, _solve_broadcast, build_dag, solve_path
 from .peel import solve_optimal
 from .verify import full_verdict, parse_broadcast
 
@@ -55,11 +56,14 @@ def _read_text(path: str | None) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | None, text: str | Iterator[str]) -> None:
+    """Write a text, or the pieces of one in turn as an iterator yields them."""
+    pieces = [text] if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
 
 
 def _load_graph(args) -> Graph:
@@ -113,8 +117,8 @@ def cmd_path(args) -> int:
     elapsed = time.perf_counter() - t0
     if args.dump_dag:
         dag = build_dag(g, dm, rt, req)
-        del rt, req  # freed before the DOT text, the command's largest allocation
-        _write_text(args.dump_dag, dag_to_dot(dag))
+        del rt, req  # freed before the DOT text is written
+        _write_text(args.dump_dag, _dot_chunks(dag))
     _emit(_report_broadcast(g, dm, bc, elapsed if args.timing else None))
     return EXIT_OK
 

@@ -7,15 +7,17 @@ a ball at w needs before it swallows the ball's frontier into a given
 piece.  All of it is built for every (center, power) pair in one cubic
 sweep; balls whose complement has more than two components never become
 states, so only their component count is kept.  Per center the Python work
-is the shell-by-shell disjoint-set build and the copy of its roots into the
-two-component rows; filling the one-component rows and turning roots into
-labels are array passes over all centers at once.  The requirement table
-takes each frontier slice's row maximum one member rank at a time, so its
-NumPy calls grow with the largest slice, not with the number of slices.
+is the shell-by-shell disjoint-set build and, per two-component ball, one
+copy of the label-2 class into an int16 buffer; the label rows and sizes
+are then written by array passes over a block of centers at a time.  The
+requirement table takes each frontier slice's row maximum one member rank
+at a time, so its NumPy calls grow with the largest slice, not with the
+number of slices.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,23 +65,26 @@ class _ShellSets:
     """Disjoint sets of the vertices outside a shrinking ball, grown one
     distance shell at a time.
 
-    parent[z] is the root of z's class, or -1 while z is inside the ball,
-    so the list is a complete component labeling at any moment.  Roots are
-    kept eagerly: a merge relabels the smaller class, O(n log n) in total.
+    parent[z] is the root of z's class, or -1 while z is inside the ball;
+    members[r] lists the class of root r and low[r] is its smallest vertex.
+    Roots are kept eagerly: a merge relabels the smaller class, O(n log n)
+    in total, and keeps the smaller of the two lows.
     """
 
     def __init__(self, n: int):
         self.parent: list[int] = [-1] * n
-        self._members: list[list[int] | None] = [None] * n  # by root
+        self.members: list[list[int] | None] = [None] * n  # by root
+        self.low: list[int] = [0] * n  # by root
 
     def add(self, shell, adj) -> int:
         """Put every vertex of shell in a class of its own, then merge each
         with its neighbors (adj[x]) outside the ball; returns the number of
         merges, so the class count grows by len(shell) minus it."""
-        parent, members = self.parent, self._members
+        parent, members, low = self.parent, self.members, self.low
         for x in shell:
             parent[x] = x
             members[x] = [x]
+            low[x] = x
         merged = 0
         for x in shell:
             rx = parent[x]
@@ -94,8 +99,16 @@ class _ShellSets:
                     parent[z] = rx
                 mx.extend(my)
                 members[ry] = None
+                if low[ry] < low[rx]:
+                    low[rx] = low[ry]
                 merged += 1
         return merged
+
+
+# the label pass writes the rows of as many centers as span at most this
+# many cells (at least one center), so its bool mask and member indices stay
+# small beside the label table and do not grow the layer's peak
+_LABEL_CELLS = 1 << 16
 
 
 def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
@@ -104,62 +117,86 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     Radii are processed in decreasing order per center: stepping from p+1 to
     p activates exactly the distance-(p+1) shell in one disjoint-set call,
     merging its vertices with their already-active neighbors, O(n^2) per
-    center.  That shell build and the component counts, kept in Python
-    lists, are the only per-center Python work.  At each kept radius with
-    two components the disjoint set's root array is copied into the label
-    row as it stands (-1 inside the ball).  After the sweep one int16 pass
-    fills every one-component row from the distance matrix (root 0 outside,
-    negative inside), and one array pass turns roots into first-touch
-    labels and counts the component sizes.  The one-vertex graph has radius
-    0 and no ball to remove: its tables are single zero rows.
+    center.  That shell build, the component counts, kept in Python lists,
+    and one copy per two-component ball are the only per-center Python
+    work.
+
+    A two-component ball needs only one of its classes.  Labels follow
+    first touch over ascending vertex index, so label 1 is the class whose
+    smallest member (the disjoint set's low) is smaller, and every other
+    outside vertex has label 2.  Both roots are found on the shell S_{p+1}
+    just activated: a shortest path from v to an outside vertex z meets
+    S_{p+1}, and from there on its distances from v exceed p, so it stays
+    outside the ball and within z's class; hence both classes meet S_{p+1}.
+    The label-2 class is copied into an int16 buffer in C (array.fromlist),
+    not converted row by row.
+
+    After the sweep of a block of centers, whose rows span at most
+    _LABEL_CELLS cells, array passes write that block: 1 where dist(v, z)
+    > p on every one- or two-component row, then 2 at the copied members;
+    sizes are the outside counts and the copies' lengths.  Rows of other
+    balls (p = 0, p >= ecc, more than two components) stay zero, as do
+    their sizes.  The one-vertex graph has radius 0 and no ball to remove:
+    its tables are single zero rows.
     """
     n = g.n
     if not dm.connected:
         raise DisconnectedGraphError("residual decompositions require a connected graph")
     rho = dm.radius
-    comp_label = np.full((n, rho + 1, n), -1, dtype=np.int16)
-    adj = g.adj
-    kappa_rows = []
-    for v, (dr, ecc_v) in enumerate(zip(dm.dist.tolist(), dm.ecc.tolist())):
-        shells: list[list[int]] = [[] for _ in range(ecc_v + 1)]
-        for z, d in enumerate(dr):
-            shells[d].append(z)
-        sets = _ShellSets(n)
-        ncomp = 0
-        kv = [0] * (rho + 1)
-        for p in range(ecc_v - 1, 0, -1):
-            shell = shells[p + 1]
-            ncomp += len(shell) - sets.add(shell, adj)
-            if p <= rho:
-                kv[p] = ncomp
-                if ncomp == 2:
-                    comp_label[v, p] = sets.parent
-        kappa_rows.append(kv)
-    del shells, sets  # per-center state, not needed by the array passes
-    kappa = np.array(kappa_rows, dtype=np.int16)
-    # one component: every vertex outside the ball shares root 0, and the
-    # ones inside get a negative root; int16 throughout, one row per ball
-    vs, ps = np.nonzero(kappa == 1)
-    one = dm.dist[vs]
-    one -= (ps + 1).astype(np.int16)[:, None]
-    np.minimum(one, 0, out=one)
-    comp_label[vs, ps] = one
-    del vs, ps, one
-    # rows never written (p = 0, p >= ecc, more than two components) hold -1
-    # throughout and come out as all-inside rows of label 0
-    rows = comp_label.reshape(-1, n)
-    outside = rows >= 0
-    first_root = rows[np.arange(rows.shape[0]), outside.argmax(axis=1)]
-    in_first = rows == first_root[:, None]
-    in_first &= outside
+    kappa = np.zeros((n, rho + 1), dtype=np.int16)
+    comp_label = np.zeros((n, rho + 1, n), dtype=np.int16)
     comp_size = np.zeros((n, rho + 1, 3), dtype=np.int32)
-    sizes = comp_size.reshape(-1, 3)
-    sizes[:, 1] = np.count_nonzero(in_first, axis=1)
-    sizes[:, 2] = np.count_nonzero(outside, axis=1) - sizes[:, 1]
-    # label = 2 outside the ball, minus 1 in the first-touch class
-    np.copyto(rows, outside)
-    rows <<= 1
-    rows -= in_first
+    adj = g.adj
+    dist = dm.dist
+    eccs = dm.ecc.tolist()
+    radii = np.arange(rho + 1, dtype=np.int16)[:, None]
+    block = max(1, _LABEL_CELLS // ((rho + 1) * n))
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        kappa_rows = []
+        two_rows: list[int] = []  # (v - lo) * (rho + 1) + p of each two-component ball
+        lens: list[int] = []
+        second = array("h")  # their label-2 classes, concatenated
+        for v, (dr, ecc_v) in enumerate(zip(dist[lo:hi].tolist(), eccs[lo:hi]), lo):
+            shells: list[list[int]] = [[] for _ in range(ecc_v + 1)]
+            for z, d in enumerate(dr):
+                shells[d].append(z)
+            sets = _ShellSets(n)
+            parent, members, low = sets.parent, sets.members, sets.low
+            ncomp = 0
+            kv = [0] * (rho + 1)
+            for p in range(ecc_v - 1, 0, -1):
+                shell = shells[p + 1]
+                ncomp += len(shell) - sets.add(shell, adj)
+                if p <= rho:
+                    kv[p] = ncomp
+                    if ncomp == 2:
+                        r1 = parent[shell[0]]
+                        for x in shell:
+                            r2 = parent[x]
+                            if r2 != r1:
+                                break
+                        m = members[r2] if low[r2] > low[r1] else members[r1]
+                        two_rows.append((v - lo) * (rho + 1) + p)
+                        lens.append(len(m))
+                        second.fromlist(m)
+            kappa_rows.append(kv)
+        del shells, sets, parent, members, low  # the block's sweep state
+        kb = kappa[lo:hi]
+        kb[:] = kappa_rows
+        outside = dist[lo:hi, None, :] > radii
+        outside &= ((kb == 1) | (kb == 2))[:, :, None]
+        comp_label[lo:hi] = outside
+        comp_size[lo:hi, :, 1] = outside.sum(axis=2)
+        del outside
+        if two_rows:
+            rows, k2 = np.array(two_rows), np.array(lens)
+            at = np.repeat(rows * n, k2)  # flat cell of each copied member
+            at += np.frombuffer(second, dtype=np.int16)
+            comp_label[lo:hi].reshape(-1)[at] = 2
+            sizes = comp_size[lo:hi].reshape(-1, 3)
+            sizes[rows, 1] -= k2
+            sizes[rows, 2] = k2
     return ResidualTable(n=n, rho=rho, kappa=kappa, comp_label=comp_label, comp_size=comp_size)
 
 

@@ -339,8 +339,9 @@ _PHYSICAL_MEMORY = _physical_memory()  # read once, at import
 
 def _table_bytes(n: int, rad: int) -> int:
     """Bytes of the path tables of an n-vertex graph of radius rad: int16
-    labels, 2 n^2 (rad+1), int16 requirements, 4 n^2 (rad+1), and the two
-    bool masks of the label relabel pass, n^2 (rad+1) each."""
+    labels, 2 n^2 (rad+1), int16 requirements, 4 n^2 (rad+1), and a third
+    as much again, 2 n^2 (rad+1), as an allowance for the working memory
+    beside them: the label pass's blocks and the DP's batches."""
     return 8 * n * n * (rad + 1)
 
 
@@ -391,21 +392,42 @@ def solve_path(h: Graph) -> Broadcast:
     return _solve_broadcast(*_path_tables(h, "solve_path"))
 
 
+# lines per piece of DOT text: pieces of about a megabyte, so a dump of
+# millions of arcs never holds more than one piece's line strings
+_DOT_CHUNK_LINES = 1 << 15
+
+
+def _dot_chunks(dag: StateDag):
+    """The DOT text of dag_to_dot, piece by piece: whole lines, each ending
+    in a newline, states in id order, then arcs by source ball and target
+    id.  cli writes the pieces to the dump file as they come."""
+    yield "digraph states {\n"
+    ids = np.flatnonzero(dag.exists).tolist()
+    for lo in range(0, len(ids), _DOT_CHUNK_LINES):
+        lines = []
+        for sid in ids[lo : lo + _DOT_CHUNK_LINES]:
+            s = dag.state_at(sid)
+            shape = []
+            if dag.is_source[sid]:
+                shape.append("source")
+            if dag.is_sink[sid]:
+                shape.append("sink")
+            extra = f" [{'/'.join(shape)}]" if shape else ""
+            lines.append(f'  s{sid} [label="({s.center},{s.power},{s.left},{s.right}) w={s.power}{extra}"];\n')
+        yield "".join(lines)
+    # by source ball (center, power), then target id: ids ascend with the
+    # ball, and a target id is below exists.size, so one int64 key orders both
+    key = dag.arc_src // 3
+    key *= dag.exists.size
+    key += dag.arc_dst
+    order = np.argsort(key)  # equal keys would be equal lines: no stable sort needed
+    del key
+    for lo in range(0, order.size, _DOT_CHUNK_LINES):
+        part = order[lo : lo + _DOT_CHUNK_LINES]
+        yield "".join(f"  s{a} -> s{b};\n" for a, b in zip(dag.arc_src[part].tolist(), dag.arc_dst[part].tolist()))
+    yield "}\n"
+
+
 def dag_to_dot(dag: StateDag) -> str:
     """DOT dump of the state digraph, for debugging small instances."""
-    lines = ["digraph states {"]
-    for sid in np.nonzero(dag.exists)[0]:
-        s = dag.state_at(int(sid))
-        shape = []
-        if dag.is_source[sid]:
-            shape.append("source")
-        if dag.is_sink[sid]:
-            shape.append("sink")
-        extra = f" [{'/'.join(shape)}]" if shape else ""
-        lines.append(f'  s{sid} [label="({s.center},{s.power},{s.left},{s.right}) w={s.power}{extra}"];')
-    v, p, _ = _decode(dag.arc_src, dag.rho)
-    order = np.lexsort((dag.arc_dst, p, v))  # by source ball, then target id
-    for a, b in zip(dag.arc_src[order].tolist(), dag.arc_dst[order].tolist()):
-        lines.append(f"  s{a} -> s{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_chunks(dag))

@@ -53,12 +53,21 @@ def bfs_component_labels(g, inside):
     return labels, nxt
 
 
+def permuted(g, seed):
+    """g with its vertex labels permuted by a seeded shuffle."""
+    perm = np.random.default_rng(seed).permutation(g.n).tolist()
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 @pytest.fixture(scope="module")
 def label_graphs(small_random_graphs):
     """The small random suite plus inputs with large radii and with balls
-    that swallow vertex 0, which the first-touch relabel must skip."""
+    that swallow vertex 0, which first touch must skip.  On the permuted
+    copies a class's smallest vertex is not where the sweep first reaches
+    it, so merges keep moving it, and either side of a split can be label 1."""
     larger = [path_graph(40), cycle_graph(31), barbell_graph(30)]
     larger += [random_connected_graph(40, seed) for seed in (11, 12, 13)]
+    larger += [permuted(path_graph(40), 21), permuted(barbell_graph(30), 22), permuted(random_tree(60, 5), 23)]
     return small_random_graphs + larger
 
 
@@ -108,6 +117,18 @@ class TestShellSets:
             assert all((d.parent[a] == d.parent[b]) == (naive[a] == naive[b]) for a in added for b in added)
             assert all(d.parent[z] == -1 for z in range(10) if z not in added)
 
+    def test_low_is_smallest_member(self):
+        # merges in both directions: the kept root's low comes from the
+        # absorbed class when that one holds the smaller vertex
+        d = _ShellSets(6)
+        adj = [[5], [4], [], [4, 5], [1, 3], [0, 3]]
+        d.add([3, 4, 5], adj)  # 4 and 5 join 3's class
+        r = d.parent[3]
+        assert d.low[r] == 3 and sorted(d.members[r]) == [3, 4, 5]
+        d.add([0, 1], adj)  # 0 and 1 join it from below
+        r = d.parent[3]
+        assert d.low[r] == 0 and sorted(d.members[r]) == [0, 1, 3, 4, 5]
+
     @given(
         st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
         st.permutations(range(10)),
@@ -135,6 +156,10 @@ class TestShellSets:
             assert all((d.parent[a] == d.parent[b]) == (naive[a] == naive[b]) for a in added for b in added)
             assert all(d.parent[z] == -1 for z in range(10) if z not in added)
             assert all(d.parent[d.parent[z]] == d.parent[z] for z in added)
+            # every root lists its class and knows the class's smallest vertex
+            for r in {d.parent[z] for z in added}:
+                assert sorted(d.members[r]) == sorted(z for z in added if d.parent[z] == r)
+                assert d.low[r] == min(d.members[r])
 
 
 @given(st.lists(st.integers(0, 3), max_size=20))

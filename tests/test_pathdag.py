@@ -377,8 +377,9 @@ class TestSolvePath:
             solve_path(path(6))
 
     def test_table_estimate_counts_tables_and_relabel_masks(self):
-        # the label and requirement tables plus the relabel pass's two bool
-        # masks of label-table shape; path-3000 would need 100.6 GiB
+        # the label and requirement tables plus an allowance of two bytes
+        # per label cell for the working memory beside them (label blocks,
+        # DP batches); path-3000 would need 100.6 GiB
         for g in (path(12), cycle_graph(30), barbell_graph(24)):
             dm, rt, rq = tables(g)
             want = rt.comp_label.nbytes + rq.req.nbytes + 2 * rt.comp_label.size
