@@ -116,8 +116,6 @@ def _pruefer_tree_edges(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
     sequence; draws n-2 values from rng, none when n <= 2."""
     if n == 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.below(n) for _ in range(n - 2)]
     deg = [1] * n
     for x in seq:

@@ -123,33 +123,40 @@ class Graph:
         return (1 << self.n) - 1
 
 
+def _content_lines(text: str) -> list[str]:
+    """The stripped lines of text without '#' comments, blank lines dropped."""
+    return [line for raw in text.splitlines() if (line := raw.split("#", 1)[0].strip())]
+
+
+def _int_pairs(lines: list[str], error: type[ValueError], shape: str, what: str) -> list[tuple[int, int]]:
+    """Each line read as exactly two integers.  A line that is not raises
+    error, naming the expected shape or, for a non-integer, what it holds."""
+    pairs = []
+    for line in lines:
+        parts = line.split()
+        if len(parts) != 2:
+            raise error(f"expected {shape!r}, got {line!r}")
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise error(f"non-integer {what} in {line!r}") from None
+    return pairs
+
+
 def parse_graph(text: str, strict: bool = False) -> Graph:
     """Parse the edge-list format: line 1 is n, each later line is "u v".
 
     Anything after '#' on a line is a comment.  Duplicate edges collapse
     unless strict is set, in which case they are rejected.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = _content_lines(text)
     if not lines:
         raise GraphFormatError("empty input")
     try:
         n = int(lines[0])
     except ValueError:
         raise GraphFormatError(f"first line must be the vertex count, got {lines[0]!r}") from None
-    edges = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"non-integer endpoint in {line!r}") from None
-        edges.append((u, v))
+    edges = _int_pairs(lines[1:], GraphFormatError, "u v", "endpoint")
     return Graph.from_edges(n, edges, strict=strict)
 
 
@@ -203,7 +210,7 @@ def apsp(g: Graph) -> DistanceMatrix:
     for s in range(n):
         dist[s] = bfs_distances(g, s)
     ecc = dist.max(axis=1)
-    connected = bool(int(ecc.max()) < n) if n > 1 else True
+    connected = bool(int(ecc.max()) < n)
     radius = int(ecc.min())
     return DistanceMatrix(dist=dist, ecc=ecc, radius=radius, connected=connected)
 

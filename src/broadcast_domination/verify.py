@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .graph import DistanceMatrix, Graph, bits_of
+from .graph import DistanceMatrix, Graph, _content_lines, _int_pairs, bits_of
 
 __all__ = [
     "Broadcast",
@@ -208,16 +208,4 @@ def parse_broadcast(text: str) -> Broadcast:
 
     '#' starts a comment; zero powers are dropped.
     """
-    pairs = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected 'vertex power', got {line!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ValueError(f"non-integer vertex or power in {line!r}") from None
-    return Broadcast.from_pairs(pairs)
+    return Broadcast.from_pairs(_int_pairs(_content_lines(text), ValueError, "vertex power", "vertex or power"))

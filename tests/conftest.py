@@ -1,9 +1,12 @@
 """Shared helpers: exhaustive small-graph enumeration, seeded randoms, a
-hypothesis strategy for connected graphs, a ball-count multipacking check
-and bit-mask vertex sets."""
+hypothesis strategy for connected graphs, the path-case tables, the ball
+laws, a ball-count multipacking check, the cycle shape of a domination
+graph, bit-mask vertex sets and a CLI runner."""
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from itertools import combinations
 from typing import Iterator
 
@@ -12,8 +15,9 @@ import pytest
 from hypothesis import strategies as st
 
 from broadcast_domination.generators import SplitMix64, random_tree
-from broadcast_domination.graph import Graph, bits_of, is_connected
-from broadcast_domination.verify import ball_mask
+from broadcast_domination.graph import Graph, apsp, bits_of, is_connected
+from broadcast_domination.metric import requirement_table, residual_decompositions
+from broadcast_domination.verify import ball_mask, domination_edges
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -27,6 +31,23 @@ def iter_bits(mask: int) -> Iterator[int]:
 def members(rt, v, p, label) -> int:
     """Bit mask of the residual component of B(v, p) with this label."""
     return bits_of(np.flatnonzero(rt.comp_label[v, p] == label).tolist())
+
+
+def tables(g):
+    """Distances, residual decompositions and requirement table of g."""
+    dm = apsp(g)
+    rt = residual_decompositions(g, dm)
+    return dm, rt, requirement_table(g, dm, rt)
+
+
+def run_cli(args, stdin=""):
+    """Run the command-line tool in a fresh interpreter, capturing text."""
+    return subprocess.run(
+        [sys.executable, "-m", "broadcast_domination", *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+    )
 
 
 def connected_graphs(n):
@@ -63,6 +84,53 @@ def is_multipacking(dm, members) -> bool:
     return all(
         bin(ball_mask(dm, v, s) & chosen).count("1") <= s for v in range(dm.n) for s in range(1, max(dm.n, 2))
     )
+
+
+def ball_law_violations(g, dm) -> set[str]:
+    """The ball laws that fail for some two balls of power at most rad:
+    "intersection" (B(a, p) meets B(b, q) iff d(a, b) <= p + q) and
+    "tight contact" (disjoint balls are joined by an edge iff
+    d(a, b) = p + q + 1).  Checked on bit masks, not on the tables."""
+    rho = dm.radius
+    masks = [[ball_mask(dm, v, p) for p in range(rho + 1)] for v in range(g.n)]
+    nbrs = [bits_of(g.adj[z]) for z in range(g.n)]
+    failed = set()
+    for a in range(g.n):
+        for b in range(g.n):
+            d = int(dm.dist[a, b])
+            for p, x in enumerate(masks[a]):
+                for q, y in enumerate(masks[b]):
+                    if (x & y != 0) != (d <= p + q):
+                        failed.add("intersection")
+                    if not x & y and any(nbrs[z] & y for z in iter_bits(x)) != (d == p + q + 1):
+                        failed.add("tight contact")
+    return failed
+
+
+def is_cycle_shaped(dm, bc) -> bool:
+    """Whether the domination graph of bc is a cycle: at least three active
+    centers, each with exactly two domination neighbours, all connected."""
+    actives = bc.active
+    if len(actives) < 3:
+        return False
+    edges = domination_edges(dm, bc)
+    if len(edges) != len(actives):
+        return False
+    nbr = {v: [] for v in actives}
+    for u, v in edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    if any(len(ws) != 2 for ws in nbr.values()):
+        return False
+    seen = {actives[0]}
+    stack = [actives[0]]
+    while stack:
+        u = stack.pop()
+        for w in nbr[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(actives)
 
 
 def random_connected_graph(n: int, seed: int) -> Graph:

@@ -8,8 +8,6 @@ computed once per session and shared by the criteria that consume it.
 from __future__ import annotations
 
 import hashlib
-import subprocess
-import sys
 import time
 
 import pytest
@@ -17,8 +15,7 @@ import pytest
 from broadcast_domination.anchored import solve_path_anchored
 from broadcast_domination.bench import run_bench
 from broadcast_domination.generators import GeneratorSpec, cycle_graph, path_graph
-from broadcast_domination.graph import apsp, bits_of, induced_subgraph
-from broadcast_domination.metric import requirement_table, residual_decompositions
+from broadcast_domination.graph import apsp, induced_subgraph
 from broadcast_domination.oracle import iter_broadcasts_of_cost, oracle_gamma_b, oracle_gamma_path
 from broadcast_domination.pathdag import build_dag, solve_path
 from broadcast_domination.peel import (
@@ -31,66 +28,21 @@ from broadcast_domination.peel import (
     radial_broadcast,
     solve_optimal,
 )
-from broadcast_domination.verify import (
-    Broadcast,
-    ball_mask,
-    domination_edges,
-    verify_dominating,
-    verify_efficient,
-    verify_path_shaped,
-)
+from broadcast_domination.verify import Broadcast, verify_dominating, verify_efficient, verify_path_shaped
 
-from conftest import connected_graphs, is_multipacking, iter_bits, random_suite
+from conftest import (
+    ball_law_violations,
+    connected_graphs,
+    is_cycle_shaped,
+    is_multipacking,
+    random_suite,
+    run_cli,
+    tables,
+)
 
 
 def _passed(label: str, detail: str) -> None:
     print(f"[ACCEPTANCE] {label}: PASS ({detail})")
-
-
-def _ball_laws_hold(g, dm) -> bool:
-    rho = dm.radius
-    masks = [[ball_mask(dm, v, p) for p in range(rho + 1)] for v in range(g.n)]
-    for a in range(g.n):
-        for b in range(g.n):
-            d = int(dm.dist[a, b])
-            for p in range(rho + 1):
-                x = masks[a][p]
-                for q in range(rho + 1):
-                    y = masks[b][q]
-                    if (x & y != 0) != (d <= p + q):
-                        return False
-                    if not x & y:
-                        touch = any(bits_of(g.adj[z]) & y for z in iter_bits(x))
-                        if touch != (d == p + q + 1):
-                            return False
-    return True
-
-
-def _is_cycle_shaped(dm, bc) -> bool:
-    actives = bc.active
-    if len(actives) < 3:
-        return False
-    edges = domination_edges(dm, bc)
-    if len(edges) != len(actives):
-        return False
-    deg = {v: 0 for v in actives}
-    nbr = {v: [] for v in actives}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        nbr[u].append(v)
-        nbr[v].append(u)
-    if any(d != 2 for d in deg.values()):
-        return False
-    seen = {actives[0]}
-    stack = [actives[0]]
-    while stack:
-        u = stack.pop()
-        for w in nbr[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(actives)
 
 
 def _unpruned_optimum(dm, candidates):
@@ -148,7 +100,7 @@ def exhaustive_sweep():
     for n in range(1, 7):
         for g in connected_graphs(n):
             res["graphs"] += 1
-            dm = apsp(g)
+            dm, rt, rq = tables(g)
             tag = (n, g.edges())
 
             opt = solve_optimal(g)
@@ -169,12 +121,10 @@ def exhaustive_sweep():
             if sp.cost != truth_p.cost:
                 res["gamma_path_mismatch"].append(tag + (sp.cost, truth_p.cost))
 
-            if not _ball_laws_hold(g, dm):
+            if ball_law_violations(g, dm):
                 res["law_violations"].append(tag)
 
             if n >= 2:
-                rt = residual_decompositions(g, dm)
-                rq = requirement_table(g, dm, rt)
                 dag = build_dag(g, dm, rt, rq)  # asserts monotonicity itself
                 ls = dag.left_size
                 for a, b in zip(dag.arc_src.tolist(), dag.arc_dst.tolist()):
@@ -204,7 +154,7 @@ def exhaustive_sweep():
                     if not verify_efficient(g, dm, bc).ok:
                         continue
                     found_efficient = True
-                    if not found_shape and (verify_path_shaped(g, dm, bc).ok or _is_cycle_shaped(dm, bc)):
+                    if not found_shape and (verify_path_shaped(g, dm, bc).ok or is_cycle_shaped(dm, bc)):
                         found_shape = True
                     for x, k in bc.assignment:
                         if int((dm.dist[x] > k).sum()) == 1:
@@ -324,7 +274,7 @@ def test_invariant_suite(exhaustive_sweep, small_random_graphs):
     # the same properties on random instances
     for g in small_random_graphs[:20]:
         dm = apsp(g)
-        assert _ball_laws_hold(g, dm)
+        assert ball_law_violations(g, dm) == set()
         for cand in iter_candidates(g, dm):
             if cand.residual_kind != RESIDUAL_SKIPPED:
                 assert verify_dominating(g, dm, cand.broadcast).ok
@@ -397,9 +347,7 @@ def test_scaling_cubic():
     # arcs/n^3 was 0.235..0.247 on these sizes, states < 2*n*rho + n)
     for n in sizes:
         g = path_graph(n)
-        dm = apsp(g)
-        rt = residual_decompositions(g, dm)
-        rq = requirement_table(g, dm, rt)
+        dm, rt, rq = tables(g)
         dag = build_dag(g, dm, rt, rq)
         assert dag.num_states <= 2 * n * dm.radius + n
         assert dag.num_arcs <= 0.26 * n**3
@@ -439,15 +387,6 @@ def test_benchmark_trend():
     )
 
 
-def _run_cli(args, stdin=""):
-    return subprocess.run(
-        [sys.executable, "-m", "broadcast_domination", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-    )
-
-
 def test_determinism(tmp_path):
     p6 = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
     fixed = [
@@ -458,21 +397,21 @@ def test_determinism(tmp_path):
         (["gen", "--family", "sparse-random", "--n", "10", "--seed", "9"], ""),
     ]
     for args, stdin in fixed:
-        a = _run_cli(args, stdin)
-        b = _run_cli(args, stdin)
+        a = run_cli(args, stdin)
+        b = run_cli(args, stdin)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout, f"nondeterministic output for {args}"
     bfile = tmp_path / "bc.txt"
     bfile.write_text("1 1\n4 1\n")
-    a = _run_cli(["verify", "--broadcast", str(bfile)], p6)
-    b = _run_cli(["verify", "--broadcast", str(bfile)], p6)
+    a = run_cli(["verify", "--broadcast", str(bfile)], p6)
+    b = run_cli(["verify", "--broadcast", str(bfile)], p6)
     assert a.stdout == b.stdout
 
     # bench rows are identical except the physically nondeterministic time
     # column (and anything derived from it)
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     for out in (out1, out2):
-        res = _run_cli(["bench", "--family", "path", "--n", "8,12", "--reps", "1", "--out", str(out)])
+        res = run_cli(["bench", "--family", "path", "--n", "8,12", "--reps", "1", "--out", str(out)])
         assert res.returncode == 0
 
     def stable_rows(path):

@@ -1,4 +1,5 @@
 from broadcast_domination.anchored import solve_path_anchored
+from broadcast_domination.generators import cycle_graph, path_graph
 from broadcast_domination.graph import Graph, apsp
 from broadcast_domination.oracle import oracle_gamma_path
 from broadcast_domination.pathdag import solve_path
@@ -7,25 +8,17 @@ from broadcast_domination.verify import verify_dominating, verify_efficient, ver
 from conftest import connected_graphs, random_connected_graph
 
 
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def test_k1_convention():
     bc = solve_path_anchored(Graph.from_edges(1, []))
     assert bc.cost == 0 and bc.assignment == ()
 
 
 def test_p6_matches_fast_solver():
-    assert solve_path_anchored(path(6)).cost == solve_path(path(6)).cost == 2
+    assert solve_path_anchored(path_graph(6)).cost == solve_path(path_graph(6)).cost == 2
 
 
 def test_c5_oracle():
-    assert solve_path_anchored(cycle(5)).cost == oracle_gamma_path(cycle(5)).cost == 2
+    assert solve_path_anchored(cycle_graph(5)).cost == oracle_gamma_path(cycle_graph(5)).cost == 2
 
 
 def test_equality_exhaustive_small():

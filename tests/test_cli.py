@@ -1,23 +1,13 @@
-import subprocess
-import sys
-
 import pytest
 
 from broadcast_domination import cli, pathdag
+
+from conftest import run_cli
 
 K1 = "1\n"
 P4 = "4\n0 1\n1 2\n2 3\n"
 P6 = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 C9 = "9\n" + "".join(f"{i} {(i + 1) % 9}\n" for i in range(9))
-
-
-def run_cli(args, stdin=""):
-    return subprocess.run(
-        [sys.executable, "-m", "broadcast_domination", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-    )
 
 
 def kv(stdout):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from broadcast_domination.generators import cycle_graph, path_graph, star_graph
 from broadcast_domination.graph import (
     Graph,
     GraphFormatError,
@@ -13,20 +14,9 @@ from broadcast_domination.graph import (
     parse_graph,
     render_graph,
 )
+from broadcast_domination.verify import parse_broadcast
 
 from conftest import graphs, iter_bits, random_connected_graph
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star(leaves):
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 class TestParse:
@@ -60,6 +50,17 @@ class TestParse:
         g = parse_graph("# header\n3\n0 1  # an edge\n\n1 2")
         assert len(g.edges()) == 2
 
+    @pytest.mark.parametrize(
+        "parse, lines",
+        [(parse_graph, ["4", "0 1", "2 3"]), (parse_broadcast, ["0 1", "2 3"])],
+        ids=["graph", "broadcast"],
+    )
+    def test_readers_skip_the_same_lines(self, parse, lines):
+        # both formats read their lines through one stripper: whole-line and
+        # trailing '#' comments, empty and whitespace-only lines drop alike
+        noisy = "# header\n\n" + "\n \t\n# between\n".join(f"  {line}  # note" for line in lines) + "\n#\n"
+        assert parse(noisy) == parse("\n".join(lines))
+
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, g):
@@ -84,19 +85,19 @@ class TestBits:
 
 class TestApsp:
     def test_path_metric(self):
-        dm = apsp(path(4))
+        dm = apsp(path_graph(4))
         assert int(dm.dist[0, 3]) == 3
         assert dm.ecc.tolist() == [3, 2, 2, 3]
         assert dm.radius == 2
 
     def test_cycle_metric(self):
-        dm = apsp(cycle(5))
+        dm = apsp(cycle_graph(5))
         assert int(dm.dist[0, 2]) == 2
         assert dm.ecc.tolist() == [2] * 5
         assert dm.radius == 2
 
     def test_star_metric(self):
-        dm = apsp(star(5))
+        dm = apsp(star_graph(6))
         assert int(dm.dist[1, 2]) == 2
         assert dm.radius == 1
 
@@ -131,29 +132,29 @@ class TestApsp:
 
 class TestConnected:
     def test_examples(self):
-        assert is_connected(path(4))
+        assert is_connected(path_graph(4))
         assert not is_connected(Graph.from_edges(4, [(0, 1), (2, 3)]))
         assert is_connected(Graph.from_edges(1, []))
 
 
 class TestInducedSubgraph:
     def test_single_vertex(self):
-        h, back = induced_subgraph(path(4), [3])
+        h, back = induced_subgraph(path_graph(4), [3])
         assert h.n == 1 and len(h.edges()) == 0 and back == [3]
 
     def test_disconnected_result(self):
-        h, back = induced_subgraph(path(4), [0, 1, 3])
+        h, back = induced_subgraph(path_graph(4), [0, 1, 3])
         assert h.edges() == [(0, 1)] and back == [0, 1, 3]
         assert not is_connected(h)
 
     def test_identity(self):
-        g = cycle(5)
+        g = cycle_graph(5)
         h, back = induced_subgraph(g, range(5))
         assert h == g and back == list(range(5))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            induced_subgraph(path(3), [])
+            induced_subgraph(path_graph(3), [])
 
     @given(graphs(max_n=12), st.data())
     @settings(max_examples=40, deadline=None)

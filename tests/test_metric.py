@@ -5,32 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree, wheel_graph
+from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree, star_graph, wheel_graph
 from broadcast_domination import metric
 from broadcast_domination.graph import Graph, apsp, bits_of
 from broadcast_domination.metric import _run_starts, _ShellSets, requirement_table, residual_decompositions
 from broadcast_domination.verify import ball_mask
 
-from conftest import connected_graphs, iter_bits, members, random_connected_graph
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star(leaves):
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def tables(g):
-    dm = apsp(g)
-    rt = residual_decompositions(g, dm)
-    rq = requirement_table(g, dm, rt)
-    return dm, rt, rq
+from conftest import ball_law_violations, connected_graphs, iter_bits, members, random_connected_graph, tables
 
 
 def bfs_component_labels(g, inside):
@@ -173,40 +154,40 @@ def test_run_starts_matches_diff(values):
 
 class TestBall:
     def test_p4(self):
-        dm = apsp(path(4))
+        dm = apsp(path_graph(4))
         assert ball_mask(dm, 1, 1) == bits_of([0, 1, 2])
 
     def test_power_zero(self):
-        dm = apsp(cycle(5))
+        dm = apsp(cycle_graph(5))
         assert ball_mask(dm, 3, 0) == bits_of([3])
 
     def test_full_cover(self):
-        g = cycle(5)
+        g = cycle_graph(5)
         dm = apsp(g)
         assert ball_mask(dm, 0, 2) == g.full_mask
 
     def test_negative_power(self):
         with pytest.raises(ValueError):
-            ball_mask(apsp(path(3)), 0, -1)
+            ball_mask(apsp(path_graph(3)), 0, -1)
 
 
 class TestResidualDecompositions:
     def test_p4_inner_ball(self):
-        _, rt, _ = tables(path(4))
+        _, rt, _ = tables(path_graph(4))
         assert rt.kappa[1, 1] == 1
         assert rt.comp_label[1, 1, 3] == 1
         assert rt.comp_size[1, 1, 1] == 1
         assert members(rt, 1, 1, 1) == bits_of([3])
 
     def test_p5_center_ball_splits(self):
-        _, rt, _ = tables(path(5))
+        _, rt, _ = tables(path_graph(5))
         assert rt.kappa[2, 1] == 2
         assert rt.comp_label[2, 1, 0] == 1  # first touch: vertex 0
         assert rt.comp_label[2, 1, 4] == 2
         assert rt.comp_size[2, 1, 1] == rt.comp_size[2, 1, 2] == 1
 
     def test_p5_kappa_and_sizes(self):
-        _, rt, _ = tables(path(5))
+        _, rt, _ = tables(path_graph(5))
         # rows v = 0..4; columns p = 1, 2
         assert rt.kappa[:, 1:].tolist() == [[1, 1], [1, 1], [2, 0], [1, 1], [1, 1]]
         assert rt.comp_size[:, 1:, 1:].tolist() == [
@@ -219,14 +200,14 @@ class TestResidualDecompositions:
         assert not rt.comp_size[:, :, 0].any()
 
     def test_star_leaf_ball_discarded(self):
-        g = star(5)
+        g = star_graph(6)
         _, rt, _ = tables(g)
         assert rt.kappa[1, 1] == 4  # four isolated leaves
         assert rt.kappa[1, 1] > 2  # no states are built for it
         assert rt.kappa[0, 1] == 0  # center ball is radial
 
     def test_star_discarded_row(self):
-        _, rt, _ = tables(star(5))
+        _, rt, _ = tables(star_graph(6))
         # a leaf ball leaves four isolated leaves, so no states are built
         # for it: kappa is kept, sizes and labels are not
         assert rt.kappa[1, 1] == 4
@@ -327,7 +308,7 @@ class TestResidualDecompositions:
 
 class TestRequirements:
     def test_p6_frontier_examples(self):
-        _, rt, rq = tables(path(6))
+        _, rt, rq = tables(path_graph(6))
         # ball (1,1): residual components {3,4,5} and nothing else on the left
         lab = int(rt.comp_label[1, 1, 3])
         assert rq.value(1, 1, lab, 4) == 1  # frontier {3}, dist(4,3)=1
@@ -344,7 +325,7 @@ class TestRequirements:
             assert np.array_equal(ranks, requirement_table(g, dm, rt).req)
 
     def test_default_zero(self):
-        _, rt, rq = tables(path(4))
+        _, rt, rq = tables(path_graph(4))
         # untouched entries keep the empty-max convention
         assert rq.req.min() >= 0
 
@@ -373,55 +354,22 @@ class TestBallLaws:
     def test_intersection_law_exhaustive(self):
         for n in (2, 3, 4, 5):
             for g in connected_graphs(n):
-                dm = apsp(g)
-                rho = dm.radius
-                for a in range(n):
-                    for b in range(n):
-                        for p in range(rho + 1):
-                            for q in range(rho + 1):
-                                meets = ball_mask(dm, a, p) & ball_mask(dm, b, q) != 0
-                                assert meets == (int(dm.dist[a, b]) <= p + q)
+                assert "intersection" not in ball_law_violations(g, apsp(g)), g.edges()
 
     def test_tight_contact_law_exhaustive(self):
         for n in (2, 3, 4, 5):
             for g in connected_graphs(n):
-                dm = apsp(g)
-                rho = dm.radius
-                for a in range(n):
-                    for b in range(n):
-                        for p in range(rho + 1):
-                            for q in range(rho + 1):
-                                x = ball_mask(dm, a, p)
-                                y = ball_mask(dm, b, q)
-                                if x & y:
-                                    continue
-                                touch = any(bits_of(g.adj[z]) & y for z in iter_bits(x))
-                                assert touch == (int(dm.dist[a, b]) == p + q + 1)
+                assert "tight contact" not in ball_law_violations(g, apsp(g)), g.edges()
 
     def test_laws_random(self, small_random_graphs):
         for g in small_random_graphs[:20]:
-            dm = apsp(g)
-            rho = dm.radius
-            for a in range(g.n):
-                for b in range(g.n):
-                    d = int(dm.dist[a, b])
-                    for p in range(rho + 1):
-                        for q in range(rho + 1):
-                            x = ball_mask(dm, a, p)
-                            y = ball_mask(dm, b, q)
-                            assert (x & y != 0) == (d <= p + q)
-                            if not x & y:
-                                touch = any(bits_of(g.adj[z]) & y for z in iter_bits(x))
-                                assert touch == (d == p + q + 1)
+            assert ball_law_violations(g, apsp(g)) == set(), g.edges()
 
 
 class TestPreconditions:
     def test_single_vertex_has_no_balls(self):
         # radius 0: every table is one zero row, no ball of power 1 or more
-        g = Graph.from_edges(1, [])
-        dm = apsp(g)
-        rt = residual_decompositions(g, dm)
-        rq = requirement_table(g, dm, rt)
+        dm, rt, rq = tables(Graph.from_edges(1, []))
         assert dm.radius == rt.rho == 0
         for a, shape in [(rt.kappa, (1, 1)), (rt.comp_label, (1, 1, 1)), (rt.comp_size, (1, 1, 3)), (rq.req, (1, 1, 2, 1))]:
             assert a.shape == shape and not a.any(), shape

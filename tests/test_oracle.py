@@ -2,6 +2,7 @@ from itertools import chain
 
 import pytest
 
+from broadcast_domination.generators import cycle_graph, path_graph, star_graph
 from broadcast_domination.graph import Graph, apsp
 from broadcast_domination.oracle import (
     OracleLimitError,
@@ -9,50 +10,9 @@ from broadcast_domination.oracle import (
     oracle_gamma_b,
     oracle_gamma_path,
 )
-from broadcast_domination.verify import (
-    domination_edges,
-    verify_dominating,
-    verify_efficient,
-    verify_path_shaped,
-)
+from broadcast_domination.verify import verify_dominating, verify_efficient, verify_path_shaped
 
-from conftest import connected_graphs, random_connected_graph
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star(leaves):
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def domination_graph_is_cycle(dm, bc):
-    actives = bc.active
-    if len(actives) < 3:
-        return False
-    edges = domination_edges(dm, bc)
-    if len(edges) != len(actives):
-        return False
-    deg = {v: 0 for v in actives}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    seen = {actives[0]}
-    stack = [actives[0]]
-    nbr = {v: [] for v in actives}
-    for u, v in edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    while stack:
-        u = stack.pop()
-        for w in nbr[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(actives)
+from conftest import connected_graphs, is_cycle_shaped, random_connected_graph
 
 
 class TestGoldenValues:
@@ -61,23 +21,22 @@ class TestGoldenValues:
         assert oracle_gamma_path(Graph.from_edges(1, [])).cost == 0
 
     def test_star(self):
-        assert oracle_gamma_b(star(5)).cost == 1
+        assert oracle_gamma_b(star_graph(6)).cost == 1
 
     def test_p7_golden(self):
         # frozen after the first run of this oracle
-        assert oracle_gamma_b(path(7)).cost == 3
+        assert oracle_gamma_b(path_graph(7)).cost == 3
 
     def test_p6_c5_path_variant(self):
-        assert oracle_gamma_path(path(6)).cost == 2
-        cyc5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-        assert oracle_gamma_path(cyc5).cost == 2
+        assert oracle_gamma_path(path_graph(6)).cost == 2
+        assert oracle_gamma_path(cycle_graph(5)).cost == 2
 
 
 class TestOracleBehavior:
     def test_limit(self):
         with pytest.raises(OracleLimitError):
-            oracle_gamma_b(path(13))
-        assert oracle_gamma_b(path(13), limit=13).cost == 5
+            oracle_gamma_b(path_graph(13))
+        assert oracle_gamma_b(path_graph(13), limit=13).cost == 5
 
     def test_witness_and_explored(self, small_random_graphs):
         for g in small_random_graphs[:15]:
@@ -95,8 +54,7 @@ class TestOracleBehavior:
         # the oracle and iter_broadcasts_of_cost walk one search order: the
         # witness is the first dominating assignment of costs 1..optimum, and
         # explored counts every assignment up to and including it
-        cyc7 = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
-        graphs = [path(8), star(5), cyc7] + [random_connected_graph(n, 40 + n) for n in (6, 7, 8)]
+        graphs = [path_graph(8), star_graph(6), cycle_graph(7)] + [random_connected_graph(n, 40 + n) for n in (6, 7, 8)]
         for g in graphs:
             dm = apsp(g)
             res = oracle_gamma_b(g)
@@ -137,7 +95,7 @@ class TestStructure:
                     if not verify_efficient(g, dm, bc).ok:
                         continue
                     found_efficient = True
-                    if verify_path_shaped(g, dm, bc).ok or domination_graph_is_cycle(dm, bc):
+                    if verify_path_shaped(g, dm, bc).ok or is_cycle_shaped(dm, bc):
                         found_shape = True
                         break
                 assert found_efficient  # an efficient optimum always exists

@@ -17,10 +17,11 @@ from broadcast_domination.generators import (
     path_graph,
     random_tree,
     sparse_random,
+    star_graph,
     wheel_graph,
 )
 from broadcast_domination.graph import Graph, GraphTooLargeError, InternalError, apsp, bits_of, is_connected
-from broadcast_domination.metric import requirement_table, residual_decompositions
+from broadcast_domination.metric import residual_decompositions
 from broadcast_domination.oracle import oracle_gamma_path
 from broadcast_domination.pathdag import (
     _decode,
@@ -34,26 +35,7 @@ from broadcast_domination.pathdag import (
 )
 from broadcast_domination.verify import Broadcast, ball_mask, verify_dominating, verify_efficient, verify_path_shaped
 
-from conftest import connected_graphs, iter_bits, members, random_connected_graph, random_suite
-
-
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star(leaves):
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def tables(g):
-    dm = apsp(g)
-    rt = residual_decompositions(g, dm)
-    rq = requirement_table(g, dm, rt)
-    return dm, rt, rq
+from conftest import connected_graphs, iter_bits, members, random_connected_graph, random_suite, tables
 
 
 def balls_containing(dm, rho, u):
@@ -98,20 +80,20 @@ def find_state(states, center, power, left, right):
 
 class TestEnumerateStates:
     def test_p4_radial(self):
-        _, rt, _ = tables(path(4))
+        _, rt, _ = tables(path_graph(4))
         states = enumerate_states(rt)
         s = find_state(states, 1, 2, 0, 0)
         assert s is not None and s.left_size == 0 and s.power == 2
 
     def test_p4_endpoint_pair(self):
-        _, rt, _ = tables(path(4))
+        _, rt, _ = tables(path_graph(4))
         states = enumerate_states(rt)
         assert find_state(states, 1, 1, 0, 1) is not None
         assert find_state(states, 1, 1, 1, 0) is not None
         assert sum(1 for s in states if (s.center, s.power) == (1, 1)) == 2
 
     def test_p5_internal_pair(self):
-        _, rt, _ = tables(path(5))
+        _, rt, _ = tables(path_graph(5))
         states = enumerate_states(rt)
         a = find_state(states, 2, 1, 1, 2)
         b = find_state(states, 2, 1, 2, 1)
@@ -119,7 +101,7 @@ class TestEnumerateStates:
         assert a.left_size == 1 and b.left_size == 1
 
     def test_star_leaf_ball_produces_none(self):
-        _, rt, _ = tables(star(5))
+        _, rt, _ = tables(star_graph(6))
         states = enumerate_states(rt)
         assert not any(s.center == 1 for s in states)
 
@@ -138,7 +120,7 @@ class TestEnumerateStates:
 
 class TestArcTest:
     def test_p6_true_arc_with_set_oracle(self):
-        g = path(6)
+        g = path_graph(6)
         dm, rt, rq = tables(g)
         states = enumerate_states(rt)
         sigma = find_state(states, 1, 1, 0, 1)
@@ -155,7 +137,7 @@ class TestArcTest:
         assert int(dm.dist[1, 4]) == 1 + 1 + 1
 
     def test_p6_source_side_target_rejected(self):
-        g = path(6)
+        g = path_graph(6)
         dm, rt, rq = tables(g)
         states = enumerate_states(rt)
         sigma = find_state(states, 1, 1, 0, 1)
@@ -163,7 +145,7 @@ class TestArcTest:
         assert not arc_test(sigma, tau_src, dm, rt, rq)
 
     def test_p6_distance_mismatch_rejected(self):
-        g = path(6)
+        g = path_graph(6)
         dm, rt, rq = tables(g)
         states = enumerate_states(rt)
         sigma = find_state(states, 1, 1, 0, 1)
@@ -173,7 +155,7 @@ class TestArcTest:
 
 class TestBuildDag:
     def test_p6_contains_expected_arc(self):
-        g = path(6)
+        g = path_graph(6)
         dm, rt, rq = tables(g)
         dag = build_dag(g, dm, rt, rq)
         wanted_src = _state_id(1, 1, 0, dag.rho)
@@ -255,7 +237,7 @@ class TestBuildDag:
             assert dag_to_dot(shuffled) == dag_to_dot(dag)
 
     def test_dot_dump(self):
-        g = path(4)
+        g = path_graph(4)
         dm, rt, rq = tables(g)
         dot = dag_to_dot(build_dag(g, dm, rt, rq))
         assert dot.startswith("digraph states {")
@@ -268,18 +250,18 @@ class TestSolvePath:
         assert bc.cost == 0 and bc.assignment == ()
 
     def test_p6(self):
-        bc = solve_path(path(6))
+        bc = solve_path(path_graph(6))
         assert bc.cost == 2
         assert bc.assignment == ((1, 1), (4, 1))
 
     def test_p7(self):
-        assert solve_path(path(7)).cost == 3
+        assert solve_path(path_graph(7)).cost == 3
 
     def test_c5(self):
-        assert solve_path(cycle(5)).cost == 2
+        assert solve_path(cycle_graph(5)).cost == 2
 
     def test_star(self):
-        bc = solve_path(star(5))
+        bc = solve_path(star_graph(6))
         assert bc.cost == 1 and bc.assignment == ((0, 1),)
 
     def test_disconnected_rejected(self):
@@ -330,8 +312,9 @@ class TestSolvePath:
     def test_memory_within_tables(self, g):
         # the DP pulls in-arcs one left-size batch at a time, so no arc
         # array of cubic length exists while solve_path runs; on the cycle
-        # almost every kept ball has one component, so the one-component
-        # label fill must not build a wide temporary over all those rows;
+        # almost every kept ball has one component, so the label pass, which
+        # writes blocks of at most _LABEL_CELLS cells, must not build a wide
+        # temporary over all those rows;
         # the barbell's tables are small (rad 24), so there the DP's
         # batches must stay small beside them too
         _, rt, rq = tables(g)
@@ -346,7 +329,7 @@ class TestSolvePath:
         assert peak <= 1.5 * table_bytes, f"peak {peak} B against {table_bytes} B of tables"
 
     def test_chain_reusing_a_center_is_internal_error(self, monkeypatch):
-        g = path(6)
+        g = path_graph(6)
         rho = apsp(g).radius
         chain = [_state_id(1, 1, 0, rho), _state_id(1, 2, 1, rho)]
         monkeypatch.setattr(pathdag, "_solve_states", lambda *args: (3, chain))
@@ -357,9 +340,9 @@ class TestSolvePath:
         # a DP without a chain is the one-vertex convention, and a bug on
         # any larger graph
         monkeypatch.setattr(pathdag, "_solve_states", lambda *args: None)
-        assert solve_path(path(1)) == Broadcast(())
+        assert solve_path(path_graph(1)) == Broadcast(())
         with pytest.raises(InternalError, match="no source-to-sink chain"):
-            solve_path(path(6))
+            solve_path(path_graph(6))
         f = tmp_path / "p6.edges"
         f.write_text("6\n" + "".join(f"{i} {i + 1}\n" for i in range(5)))
         assert cli.main(["path", "--input", str(f)]) == 3
@@ -374,13 +357,13 @@ class TestSolvePath:
 
         monkeypatch.setattr(pathdag, "_solve_states", off_by_one)
         with pytest.raises(InternalError, match="differs from the DP value"):
-            solve_path(path(6))
+            solve_path(path_graph(6))
 
-    def test_table_estimate_counts_tables_and_relabel_masks(self):
+    def test_table_estimate_counts_tables_and_working_allowance(self):
         # the label and requirement tables plus an allowance of two bytes
         # per label cell for the working memory beside them (label blocks,
         # DP batches); path-3000 would need 100.6 GiB
-        for g in (path(12), cycle_graph(30), barbell_graph(24)):
+        for g in (path_graph(12), cycle_graph(30), barbell_graph(24)):
             dm, rt, rq = tables(g)
             want = rt.comp_label.nbytes + rq.req.nbytes + 2 * rt.comp_label.size
             assert pathdag._table_bytes(g.n, dm.radius) == want
@@ -397,9 +380,9 @@ class TestSolvePath:
             return residual_decompositions(g, dm)
 
         monkeypatch.setattr(pathdag, "residual_decompositions", counting)
-        assert solve_path(path(12)).cost == 4  # exactly at the limit
+        assert solve_path(path_graph(12)).cost == 4  # exactly at the limit
         with pytest.raises(GraphTooLargeError, match="physical memory"):
-            solve_path(path(13))
+            solve_path(path_graph(13))
         assert built == [12]  # path-13 was refused before its tables
         edges = tmp_path / "p13.edges"
         edges.write_text("13\n" + "".join(f"{i} {i + 1}\n" for i in range(12)))

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from broadcast_domination import peel
-from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree, sparse_random
+from broadcast_domination.generators import (
+    barbell_graph,
+    cycle_graph,
+    path_graph,
+    random_tree,
+    sparse_random,
+    star_graph,
+)
 from broadcast_domination.graph import Graph, apsp
 from broadcast_domination.oracle import oracle_gamma_b
 from broadcast_domination.pathdag import solve_path
@@ -30,18 +37,6 @@ from broadcast_domination.verify import Broadcast, verify_dominating, verify_eff
 from conftest import connected_graphs, graphs, is_multipacking, random_connected_graph
 
 
-def path(n):
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def star(leaves):
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
 def grid(rows, cols):
     edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
     edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
@@ -58,7 +53,7 @@ def counting_solver(calls):
 
 class TestVerifyPredicates:
     def test_dominating_p4(self):
-        g = path(4)
+        g = path_graph(4)
         dm = apsp(g)
         assert verify_dominating(g, dm, Broadcast(((1, 2),))).ok
         res = verify_dominating(g, dm, Broadcast(((1, 1),)))
@@ -69,22 +64,22 @@ class TestVerifyPredicates:
         assert verify_dominating(g, apsp(g), Broadcast(())).ok
 
     def test_efficient_p6(self):
-        g = path(6)
+        g = path_graph(6)
         dm = apsp(g)
         assert verify_efficient(g, dm, Broadcast(((1, 1), (4, 1)))).ok
         res = verify_efficient(g, dm, Broadcast(((1, 1), (3, 1))))
         assert not res.ok and res.witness == (1, 3)
 
     def test_efficient_single_active(self):
-        g = path(6)
+        g = path_graph(6)
         assert verify_efficient(g, apsp(g), Broadcast(((2, 1),))).ok
 
     def test_path_shaped_p6(self):
-        g = path(6)
+        g = path_graph(6)
         assert verify_path_shaped(g, apsp(g), Broadcast(((1, 1), (4, 1)))).ok
 
     def test_path_shaped_c6_double_contact(self):
-        g = cycle(6)
+        g = cycle_graph(6)
         dm = apsp(g)
         bc = Broadcast(((0, 1), (3, 1)))
         # contacts on both sides of the cycle collapse to one edge
@@ -92,16 +87,16 @@ class TestVerifyPredicates:
         assert verify_path_shaped(g, dm, bc).ok
 
     def test_path_shaped_radial(self):
-        g = cycle(6)
+        g = cycle_graph(6)
         assert verify_path_shaped(g, apsp(g), Broadcast(((0, 3),))).ok
 
     def test_path_shaped_requires_efficient(self):
-        g = path(6)
+        g = path_graph(6)
         with pytest.raises(ValueError):
             verify_path_shaped(g, apsp(g), Broadcast(((1, 2), (2, 2))))
 
     def test_path_shaped_degree_three(self):
-        g = star(3)  # center 0, leaves 1..3
+        g = star_graph(4)  # center 0, leaves 1..3
         dm = apsp(g)
         bc = Broadcast(((0, 1),))
         assert verify_path_shaped(g, dm, bc).ok
@@ -121,14 +116,14 @@ class TestVerifyPredicates:
 
 class TestSolveOptimal:
     def test_star_radial(self):
-        bc = solve_optimal(star(5))
+        bc = solve_optimal(star_graph(6))
         assert bc.cost == 1 and bc.assignment == ((0, 1),)
 
     def test_p4(self):
-        assert solve_optimal(path(4)).cost == 2
+        assert solve_optimal(path_graph(4)).cost == 2
 
     def test_c5(self):
-        assert solve_optimal(cycle(5)).cost == 2
+        assert solve_optimal(cycle_graph(5)).cost == 2
 
     def test_k1(self):
         assert solve_optimal(Graph.from_edges(1, [])).cost == 0
@@ -204,12 +199,12 @@ class TestSolveOptimal:
 
 class TestCandidates:
     def test_kinds_on_small_paths(self):
-        kinds4 = {(c.peel_center, c.peel_power): c.residual_kind for c in iter_candidates(path(4))}
+        kinds4 = {(c.peel_center, c.peel_power): c.residual_kind for c in iter_candidates(path_graph(4))}
         assert kinds4[(1, 2)] == RESIDUAL_EMPTY
         assert kinds4[(0, 2)] == RESIDUAL_SINGLETON
         assert kinds4[(0, 1)] == RESIDUAL_CONNECTED
         assert kinds4[(1, 1)] == RESIDUAL_SINGLETON
-        kinds5 = {(c.peel_center, c.peel_power): c.residual_kind for c in iter_candidates(path(5))}
+        kinds5 = {(c.peel_center, c.peel_power): c.residual_kind for c in iter_candidates(path_graph(5))}
         assert kinds5[(2, 1)] == RESIDUAL_SKIPPED  # ball {1,2,3} leaves {0} and {4}
 
     def test_every_candidate_dominates(self, small_random_graphs):
@@ -223,7 +218,7 @@ class TestCandidates:
                     assert verify_dominating(g, dm, cand.broadcast).ok
 
     def test_radial_broadcast(self):
-        dm = apsp(path(4))
+        dm = apsp(path_graph(4))
         bc = radial_broadcast(dm)
         assert bc.assignment == ((1, 2),)
 
@@ -295,7 +290,7 @@ class TestMultipacking:
         monkeypatch.setattr(peel, "multipacking", counted)
         # the diameter bound prunes every candidate: no path solve is due,
         # so the packing is never built
-        for g in (star(5), path_graph(7), random_tree(20, 3)):
+        for g in (star_graph(6), path_graph(7), random_tree(20, 3)):
             solves = []
             solve_optimal(g, path_solver=counting_solver(solves))
             assert calls == [] and solves == []
