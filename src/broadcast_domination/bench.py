@@ -128,17 +128,17 @@ def run_bench(
     ]
 
 
-_CSV_FIELDS = ["family", "n", "seed", "task", "solver", "reps", "median_ms", "cost", "threads"]
+_CSV_FIELDS = ["family", "n", "seed", "task", "solver", "reps", "median_ms", "cost"]
 
 
 def report_to_csv(results: list[BenchResult]) -> str:
-    """Two rows per instance, new solver first; threads is always 1."""
+    """Two rows per instance, new solver first."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(_CSV_FIELDS)
     for r in results:
         for solver, ms in ((SOLVER_NEW, r.new_ms), (SOLVER_BASELINE, r.base_ms)):
-            w.writerow([r.family, r.n, r.seed, r.task, solver, r.reps, repr(ms), r.cost, 1])
+            w.writerow([r.family, r.n, r.seed, r.task, solver, r.reps, repr(ms), r.cost])
     return buf.getvalue()
 
 

@@ -102,7 +102,7 @@ def cmd_solve(args) -> int:
     g = _load_graph(args)
     path_solver = solve_path_anchored if args.baseline else solve_path
     t0 = time.perf_counter()
-    bc = solve_optimal(g, path_solver=path_solver, threads=args.threads)
+    bc = solve_optimal(g, path_solver=path_solver)
     elapsed = time.perf_counter() - t0
     _emit(_report_broadcast(g, apsp(g), bc, elapsed if args.timing else None))
     return EXIT_OK
@@ -213,7 +213,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="optimal broadcast domination")
     add_io(p)
     p.add_argument("--baseline", action="store_true", help="use the anchored path-case routine")
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--timing", action="store_true", help="append a time_ms line")
     p.set_defaults(fn=cmd_solve)
 

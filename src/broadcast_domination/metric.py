@@ -41,6 +41,11 @@ class ResidualTable:
     vertices inside the ball; labels follow first-touch order over ascending
     vertex index.  Rows and sizes are materialized only for balls with at
     most two components (label 0 is reserved for the empty side of a state).
+
+    So a label is nonzero exactly at the vertices outside a ball of power
+    p >= 1 with one or two components: the p = 0 rows and the rows of balls
+    with kappa 0 or more than two components are all zero.  requirement_table
+    and pathdag._in_arcs take a ball's row membership from its labels.
     """
 
     n: int
@@ -229,6 +234,10 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
     by (center, radius, component), for a block of centers at a time: a
     block reads at most about 2**18 distance entries, so small graphs take
     one pass and large ones stay within a small fraction of the table.
+    Only balls with one or two residual components have requirement rows,
+    and a frontier vertex z lies outside its ball, so by ResidualTable's
+    label contract its label is nonzero exactly when the ball has a row:
+    the label alone selects the pairs and names their row.
 
     Each group's maximum over its members' distance rows is taken by member
     rank.  With the groups sorted by size, largest first, those with more
@@ -248,11 +257,10 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
         p_z = dist[lo : lo + block].astype(np.int64) - 1
         vs, zs = np.nonzero((p_z >= 1) & (p_z <= rho))
         ps = p_z[vs, zs]
-        vs += lo
-        k = rt.kappa[vs, ps]
-        m = (k >= 1) & (k <= 2)
-        vs, zs, ps = vs[m], zs[m], ps[m]
-        key = (vs * (rho + 1) + ps) * 2 + rt.comp_label[vs, ps, zs] - 1
+        ball = (vs + lo) * (rho + 1) + ps
+        lab = rt.comp_label.reshape(-1)[ball * n + zs]
+        m = lab > 0
+        zs, key = zs[m], ball[m] * 2 + lab[m] - 1
         order = np.argsort(key, kind="stable")
         zs, key = zs[order], key[order]
         starts = _run_starts(key)

@@ -105,14 +105,6 @@ class StateDag:
     def num_arcs(self) -> int:
         return int(self.arc_src.size)
 
-    def state_at(self, sid: int) -> State:
-        """The state behind an id.  A sink's right side is empty; otherwise
-        the right label is the other one of the orientation pair, (0,1) or
-        (1,2)/(2,1)."""
-        v, p, left = _decode(sid, self.rho)
-        right = 0 if self.is_sink[sid] else (1 if left == 0 else 3 - left)
-        return State(center=v, power=p, left=left, right=right, left_size=int(self.left_size[sid]))
-
 
 # per left label (0, 1, 2), indexed by min(kappa, 3): an open ball (kappa
 # 0) has one radial state, a one-component ball the orientations (0, 1) and
@@ -199,17 +191,23 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     batch: arcs src -> dst grouped by target in that order, source centers
     ascending per group.  For tau = (w, q, l) a predecessor's center v lies
     in tau's left component, contact forces its power p = dist(v, w) - q - 1,
-    and kappa and tau's requirement lookup decide the rest: sigma's lookup,
-    arc_test's other one, follows from them (proof in arc_test).  The
-    predecessor's left label is 0 on a one-component ball, else the label
-    not facing w.  Every source is checked to have a smaller left size than
-    its target, so targets walked in order only read finished sources.
+    and the facing label and tau's requirement lookup decide the rest:
+    sigma's lookup, arc_test's other one, follows from them (proof in
+    arc_test).  The facing label rlab of w in B(v, p) is nonzero exactly
+    when (v, p) has oriented states: w lies outside B(v, p), as
+    dist(v, w) = p + q + 1 > p, so the ball leaves at least one component,
+    and by ResidualTable's label contract rlab is then 0 only at p = 0 or
+    with more than two components.  kappa is read only to orient the
+    predecessor: its left label is 0 on a one-component ball, else
+    3 - rlab, the label not facing w.  Every source is checked
+    to have a smaller left size than its target, so targets walked in
+    order only read finished sources.
 
     The three tests that read only tau's own rows (v in the left
     component, tau's facing frontier covered: req[w, q, l-1, v] <= p, and
     p <= rho) run densely on the batch's target x vertex block, so only
-    the candidates that pass them reach the per-candidate gathers of kappa
-    and the facing label.
+    the candidates that pass them reach the per-candidate gathers of the
+    facing label and kappa.
     """
     exists, left_size, is_source, _ = states
     n, rho = rt.n, rt.rho
@@ -237,12 +235,11 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
         cell = np.flatnonzero(ok)
         pos, v = np.divmod(cell, n)
         p = p.reshape(-1)[cell]
-        vp = v * (rho + 1) + p  # p >= 0 outside the ball; kappa is 0 at power 0
-        k = kappa[vp]
-        m = (k >= 1) & (k <= 2)
-        pos, v, p, k, vp = pos[m], v[m], p[m], k[m], vp[m]
+        vp = v * (rho + 1) + p  # p >= 0 outside the ball; labels are 0 at power 0
         rlab = labels[vp * n + w[pos]]
-        src = _state_id(v, p, np.where(k == 1, 0, 3 - rlab), rho)
+        m = rlab > 0
+        pos, v, p, vp, rlab = pos[m], v[m], p[m], vp[m], rlab[m]
+        src = _state_id(v, p, np.where(kappa[vp] == 1, 0, 3 - rlab), rho)
         dst = taus[pos]
         # acyclicity witness: the left side strictly grows along every arc
         if (left_size[src] >= left_size[dst]).any():
@@ -395,6 +392,8 @@ def solve_path(h: Graph) -> Broadcast:
 # lines per piece of DOT text: pieces of about a megabyte, so a dump of
 # millions of arcs never holds more than one piece's line strings
 _DOT_CHUNK_LINES = 1 << 15
+# a state's tag, indexed by is_source + 2 * is_sink
+_DOT_TAGS = ("", " [source]", " [sink]", " [source/sink]")
 
 
 def _dot_chunks(dag: StateDag):
@@ -402,19 +401,19 @@ def _dot_chunks(dag: StateDag):
     in a newline, states in id order, then arcs by source ball and target
     id.  cli writes the pieces to the dump file as they come."""
     yield "digraph states {\n"
-    ids = np.flatnonzero(dag.exists).tolist()
-    for lo in range(0, len(ids), _DOT_CHUNK_LINES):
-        lines = []
-        for sid in ids[lo : lo + _DOT_CHUNK_LINES]:
-            s = dag.state_at(sid)
-            shape = []
-            if dag.is_source[sid]:
-                shape.append("source")
-            if dag.is_sink[sid]:
-                shape.append("sink")
-            extra = f" [{'/'.join(shape)}]" if shape else ""
-            lines.append(f'  s{sid} [label="({s.center},{s.power},{s.left},{s.right}) w={s.power}{extra}"];\n')
-        yield "".join(lines)
+    ids = np.flatnonzero(dag.exists)
+    for lo in range(0, ids.size, _DOT_CHUNK_LINES):
+        sid = ids[lo : lo + _DOT_CHUNK_LINES]
+        v, p, left = _decode(sid, dag.rho)
+        sink = dag.is_sink[sid]
+        # a sink's right side is empty; otherwise the right label is the other
+        # one of the orientation pair, (0, 1) or (1, 2)/(2, 1)
+        right = np.where(sink, 0, np.where(left == 0, 1, 3 - left))
+        tag = dag.is_source[sid] + 2 * sink
+        cols = (a.tolist() for a in (sid, v, p, left, right, tag))
+        yield "".join(
+            f'  s{s} [label="({c},{q},{a},{b}) w={q}{_DOT_TAGS[t]}"];\n' for s, c, q, a, b, t in zip(*cols)
+        )
     # by source ball (center, power), then target id: ids ascend with the
     # ball, and a target id is below exists.size, so one int64 key orders both
     key = dag.arc_src // 3

@@ -72,9 +72,10 @@ class Candidate:
 
 
 def radial_broadcast(dm: DistanceMatrix) -> Broadcast:
-    """Single broadcast of power rad(G) from the lowest-index center."""
+    """Single broadcast of power rad(G) from the lowest-index center; the
+    zero broadcast at radius 0, whose zero power from_pairs drops."""
     center = int(np.argmin(dm.ecc))
-    return Broadcast(((center, dm.radius),)) if dm.radius > 0 else Broadcast(())
+    return Broadcast.from_pairs([(center, dm.radius)])
 
 
 def _cost_floor(k: int, diam_lb: int) -> int:
@@ -121,23 +122,21 @@ def _greedy_packing(dist: np.ndarray, order: np.ndarray, limit: int) -> list[int
     members, which needs s <= |M| < limit, and m may join iff it lies in
     no full ball: d(v, m) > tight[v], the largest full radius about v (-1
     if none).  Insertions only fill balls, so a vertex rejected once stays
-    rejected, and one O(n^2) check of every vertex after each insertion
-    finds the next member.
+    rejected, and a member never fits again, its own B(m, 1) being full;
+    so the first fitting vertex of the whole order, found by one O(n^2)
+    check after each insertion, is the next member.
     """
     radii = np.arange(1, limit + 1)
     held = np.zeros((dist.shape[0], limit), dtype=np.int64)
     tight = np.full(dist.shape[0], -1)
     members: list[int] = []
-    pos = 0
     while len(members) < limit:
         fits = (dist > tight[:, None]).all(axis=0)
-        hits = np.flatnonzero(fits[order[pos:]])
+        hits = np.flatnonzero(fits[order])
         if hits.size == 0:
             break
-        pos += int(hits[0])
-        m = int(order[pos])
+        m = int(order[hits[0]])
         members.append(m)
-        pos += 1
         held += dist[:, m, None] <= radii
         tight = np.where(held >= radii, radii, -1).max(axis=1)
     return members
@@ -297,8 +296,10 @@ def solve_optimal(
     lazily, at most once per call: the first time a candidate survives
     both diameter prunes and is about to be path-solved.  Most small
     inputs never get there, and on 7-12 vertex graphs building M costs
-    about as much as the whole solve.  threads is accepted for
-    compatibility and has no effect.
+    about as much as the whole solve.
+
+    threads has no effect.  It stays only because the benchmark passes it
+    on every call; it goes once the benchmark stops passing it.
     """
     dm = apsp(g)
     if not dm.connected:

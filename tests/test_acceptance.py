@@ -391,7 +391,6 @@ def test_determinism(tmp_path):
     p6 = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
     fixed = [
         (["solve"], p6),
-        (["solve", "--threads", "2"], p6),
         (["path"], p6),
         (["oracle"], p6),
         (["gen", "--family", "sparse-random", "--n", "10", "--seed", "9"], ""),

@@ -43,7 +43,7 @@ def test_rows_pair_up_with_equal_costs(tiny_results):
     for new, base in zip(rows[1::2], rows[2::2]):
         new, base = new.split(","), base.split(",")
         assert new[4] == SOLVER_NEW and base[4] == SOLVER_BASELINE
-        assert new[:4] == base[:4] and new[7:] == base[7:]  # same instance, cost and threads
+        assert new[:4] == base[:4] and new[7:] == base[7:]  # same instance and cost
 
 
 def test_cost_mismatch_aborts(monkeypatch):

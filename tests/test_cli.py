@@ -233,6 +233,7 @@ class TestExitCodes:
     def test_usage(self):
         assert run_cli(["solve", "--format", "json"], P4).returncode == 1
         assert run_cli(["solve", "--format", "edgelist"], P4).returncode == 1  # no --format flag
+        assert run_cli(["solve", "--threads", "2"], P4).returncode == 1  # no --threads flag
 
     def test_missing_input_file(self, tmp_path):
         res = run_cli(["solve", "--input", str(tmp_path / "absent.edges")])
@@ -262,7 +263,7 @@ class TestBench:
         assert res.returncode == 0
         assert "median speedup" in res.stdout
         rows = out.read_text().splitlines()
-        assert rows[0] == "family,n,seed,task,solver,reps,median_ms,cost,threads"
+        assert rows[0] == "family,n,seed,task,solver,reps,median_ms,cost"
         assert len(rows) == 5  # header + 2 instances x 2 solvers
         assert plot.read_text().startswith("family,n,seed,task,speedup")
 

@@ -285,6 +285,10 @@ class TestResidualDecompositions:
     def test_labels_match_fresh_bfs(self, label_graphs):
         for g in label_graphs:
             dm, rt, _ = tables(g)
+            # the label contract requirement_table and _in_arcs rely on: no
+            # label at power 0 or on a ball with more than two components
+            assert not rt.comp_label[:, 0].any()
+            assert not rt.comp_label[rt.kappa > 2].any()
             for v in range(g.n):
                 for p in range(1, dm.radius + 1):
                     mask = ball_mask(dm, v, p)
