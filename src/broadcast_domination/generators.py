@@ -183,12 +183,12 @@ def generate(spec: GeneratorSpec) -> Graph:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     check_vertex_count(n)
-    build, takes = _FAMILY_TABLE.get(family, (None, {}))
+    if family not in _FAMILY_TABLE:
+        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
+    build, takes = _FAMILY_TABLE[family]
     unknown = sorted(set(spec.extra) - set(takes))
     if unknown:
         raise ValueError(f"family {family!r} has no parameter {unknown[0]!r}; it takes: {', '.join(takes) or 'none'}")
-    if build is None:
-        raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     params = {}
     for key, value in spec.extra.items():
         if value is not None:

@@ -1,7 +1,15 @@
 """Shared helpers: exhaustive small-graph enumeration, seeded randoms, a
-hypothesis strategy for connected graphs, the path-case tables, the ball
-laws, a ball-count multipacking check, the cycle shape of a domination
-graph, bit-mask vertex sets and a CLI runner."""
+hypothesis strategy for connected graphs, the path-case tables, the scalar
+arc set, the ball laws, a ball-count multipacking check, the cycle shape of
+a domination graph, bit-mask vertex sets and a CLI runner.
+
+connected_graphs feeds test_acceptance's exhaustive_sweep, the one tier-1
+pass over every connected graph with n <= 6, which builds each graph's
+tables once and runs every exhaustive check on them.  Module tests check
+random or hand-picked graphs only, with one exception:
+test_anchored::test_equality_exhaustive_small keeps its own n <= 5 pass,
+because the anchored solver over the n <= 6 sweep measured +20 s even on
+the sweep's shared tables."""
 
 from __future__ import annotations
 
@@ -15,8 +23,8 @@ import pytest
 from hypothesis import strategies as st
 
 from broadcast_domination.generators import SplitMix64, random_tree
-from broadcast_domination.graph import Graph, apsp, bits_of, is_connected
-from broadcast_domination.metric import requirement_table, residual_decompositions
+from broadcast_domination.graph import Graph, bits_of, is_connected
+from broadcast_domination.pathdag import _path_tables, _state_id, arc_test, enumerate_states
 from broadcast_domination.verify import ball_mask, domination_edges
 
 
@@ -34,10 +42,17 @@ def members(rt, v, p, label) -> int:
 
 
 def tables(g):
-    """Distances, residual decompositions and requirement table of g."""
-    dm = apsp(g)
-    rt = residual_decompositions(g, dm)
-    return dm, rt, requirement_table(g, dm, rt)
+    """Distances, residual decompositions and requirement table of g, by
+    the solver's own table build."""
+    return _path_tables(g, "tables")
+
+
+def scalar_arcs(dm, rt, rq) -> set[tuple[int, int]]:
+    """(source id, target id) of every state pair the two-sided scalar
+    arc_test accepts: the reference for build_dag's arc set."""
+    states = enumerate_states(rt)
+    sid = lambda s: _state_id(s.center, s.power, s.left, rt.rho)
+    return {(sid(s), sid(t)) for s in states for t in states if arc_test(s, t, dm, rt, rq)}
 
 
 def run_cli(args, stdin=""):

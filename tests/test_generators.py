@@ -68,6 +68,10 @@ class TestFamilies:
         with pytest.raises(ValueError):
             generate(GeneratorSpec("path", 0))
 
+    def test_unknown_family_named_before_its_extras(self):
+        with pytest.raises(ValueError, match="^unknown family 'foo'"):
+            generate(GeneratorSpec("foo", 5, extra={"p": "1"}))
+
     def test_random_tree_is_tree(self):
         for seed in range(12):
             for n in (1, 2, 3, 8, 17):

@@ -12,7 +12,7 @@ from broadcast_domination.oracle import (
 )
 from broadcast_domination.verify import verify_dominating, verify_efficient, verify_path_shaped
 
-from conftest import connected_graphs, is_cycle_shaped, random_connected_graph
+from conftest import random_connected_graph
 
 
 class TestGoldenValues:
@@ -78,39 +78,3 @@ class TestOracleBehavior:
         for g in small_random_graphs[:20]:
             assert oracle_gamma_b(g).cost <= apsp(g).radius
 
-
-class TestStructure:
-    def test_path_or_cycle_witness_exists_small(self):
-        # every exhaustively solved graph has an optimal efficient broadcast
-        # whose domination graph is a path or a cycle
-        for n in range(2, 6):
-            for g in connected_graphs(n):
-                dm = apsp(g)
-                best = oracle_gamma_b(g).cost
-                found_efficient = False
-                found_shape = False
-                for bc in iter_broadcasts_of_cost(dm, best):
-                    if not verify_dominating(g, dm, bc).ok:
-                        continue
-                    if not verify_efficient(g, dm, bc).ok:
-                        continue
-                    found_efficient = True
-                    if verify_path_shaped(g, dm, bc).ok or is_cycle_shaped(dm, bc):
-                        found_shape = True
-                        break
-                assert found_efficient  # an efficient optimum always exists
-                assert found_shape
-
-    def test_no_singleton_peel_for_efficient_optima(self):
-        # removing an active ball of an efficient broadcast never leaves a
-        # single vertex
-        for n in range(2, 6):
-            for g in connected_graphs(n):
-                dm = apsp(g)
-                best = oracle_gamma_b(g).cost
-                for bc in iter_broadcasts_of_cost(dm, best):
-                    if not verify_dominating(g, dm, bc).ok or not verify_efficient(g, dm, bc).ok:
-                        continue
-                    for x, k in bc.assignment:
-                        outside = int((dm.dist[x] > k).sum())
-                        assert outside != 1
