@@ -56,8 +56,14 @@ _NO_PRED = (1 << 32) - 1  # low half of a packed DP value: no predecessor
 
 
 def _state_id(v, p, left, rho):
-    """Dense id of the state (center v, power p, left label); ints or arrays."""
-    return (v * rho + p - 1) * 3 + left
+    """Dense id of the state (center v, power p, left label); ints or arrays.
+    On arrays the steps after the first work in place, so one id array is
+    the only temporary."""
+    sid = v * rho
+    sid += p - 1
+    sid *= 3
+    sid += left
+    return sid
 
 
 def _decode(sid, rho):
@@ -65,6 +71,12 @@ def _decode(sid, rho):
     ball, left = divmod(sid, 3)
     v, p = divmod(ball, rho)
     return v, p + 1, left
+
+
+def _power(sid, rho):
+    """The power alone of a state id (_decode's second part), with fewer
+    NumPy calls on arrays."""
+    return sid // 3 % rho + 1
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,7 @@ class StateDag:
     n: int
     rho: int
     exists: np.ndarray  # bool, dense
-    left_size: np.ndarray  # int32, dense
+    left_size: np.ndarray  # int16, dense
     is_source: np.ndarray  # bool, dense (left label 0)
     is_sink: np.ndarray  # bool, dense (right label 0)
     arc_src: np.ndarray  # int64
@@ -119,9 +131,10 @@ def _dense_tables(rt: ResidualTable):
     the (n, rho, 3) layout of (center, power - 1, left label).  left_size
     is the component size of the left label, 0 for the empty side, which
     is comp_size's zero label-0 column."""
-    k = np.minimum(rt.kappa[:, 1:], 3)  # (n, rho), column j = power j+1
-    left_size = rt.comp_size[:, 1:].reshape(-1)  # a copy: the slice is strided
-    return _EXISTS[k].reshape(-1), left_size, _IS_SOURCE[k].reshape(-1), _IS_SINK[k].reshape(-1)
+    k = rt.kappa[:, 1:]  # (n, rho), column j = power j+1; take clips kappa > 3 to row 3
+    exists, is_source, is_sink = (t.take(k, axis=0, mode="clip").reshape(-1) for t in (_EXISTS, _IS_SOURCE, _IS_SINK))
+    left_size = rt.comp_size[:, 1:].astype(np.int16).reshape(-1)  # sizes < n < MAX_VERTICES < 2**15
+    return exists, left_size, is_source, is_sink
 
 
 def enumerate_states(rt: ResidualTable) -> list[State]:
@@ -173,9 +186,9 @@ def arc_test(sigma: State, tau: State, dm: DistanceMatrix, rt: ResidualTable, re
         return False
     if int(dm.dist[sigma.center, tau.center]) != sigma.power + tau.power + 1:
         return False
-    if rt.comp_label[sigma.center, sigma.power, tau.center] != sigma.right:
+    if rt.label_row(sigma.center, sigma.power)[tau.center] != sigma.right:
         return False
-    if rt.comp_label[tau.center, tau.power, sigma.center] != tau.left:
+    if rt.label_row(tau.center, tau.power)[sigma.center] != tau.left:
         return False
     if req.value(sigma.center, sigma.power, sigma.right, tau.center) > tau.power:
         return False
@@ -193,58 +206,104 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     in tau's left component, contact forces its power p = dist(v, w) - q - 1,
     and the facing label and tau's requirement lookup decide the rest:
     sigma's lookup, arc_test's other one, follows from them (proof in
-    arc_test).  The facing label rlab of w in B(v, p) is nonzero exactly
-    when (v, p) has oriented states: w lies outside B(v, p), as
-    dist(v, w) = p + q + 1 > p, so the ball leaves at least one component,
-    and by ResidualTable's label contract rlab is then 0 only at p = 0 or
-    with more than two components.  kappa is read only to orient the
-    predecessor: its left label is 0 on a one-component ball, else
-    3 - rlab, the label not facing w.  Every source is checked
-    to have a smaller left size than its target, so targets walked in
-    order only read finished sources.
+    arc_test).  The ball (v, p) has oriented states exactly when
+    1 <= p <= rho and its kappa is 1 or 2, and w lies outside it, as
+    dist(v, w) = p + q + 1 > p, so on a one-component ball w's label is 1
+    and the predecessor's left label 0; on a two-component ball the stored
+    row gives w's label rlab and the left label is 3 - rlab, the label not
+    facing w.  Every source is checked to have a smaller left size than its
+    target, so targets walked in order only read finished sources.
 
     The three tests that read only tau's own rows (v in the left
     component, tau's facing frontier covered: req[w, q, l-1, v] <= p, and
-    p <= rho) run densely on the batch's target x vertex block, so only
-    the candidates that pass them reach the per-candidate gathers of the
-    facing label and kappa.
+    0 <= p <= rho) run densely on the batch's target x vertex block, so
+    only the candidates that pass them reach the per-candidate gathers.
+    The dense left test compares each target's stored label row with l; a
+    one-component target reads the zero row and compares it with 0, which
+    always holds: its left component is the outside, dist(w, v) > q, that
+    is p >= 0, which the range test checks.  Per candidate, kappa first
+    drops the balls without states; then the facing label is gathered
+    through the label map for every kept candidate, with no branch: a
+    one-component ball reads 0 from the zero row, which gives left label 0.
+    Compressing to the two-component balls before that gather measured
+    slower on path-192.
+
+    A batch holds about max(B / 450, 8192) units, B the table bytes: one
+    unit per candidate, and n // 8 per target for its row of the dense
+    block.  The candidate arrays are narrowed one at a time and dropped
+    once read, so a unit costs about 30 bytes while the batch runs: on
+    large tables a batch takes about a fifteenth of them, and a solve of
+    the 128-vertex path, cycle or barbell peaks below 1.5 times its
+    tables.  The floor keeps batches few where tables are small and the
+    NumPy calls per batch, not memory, set the time.  A graph with at most
+    24 vertices takes one batch: its n * rho balls of power 1 to
+    rho <= n / 2 leave at most n - 2 vertices outside, shared by at most
+    two states, so it has at most n * rho * (n - 2 + 2 * (n // 8)) <= 8064
+    units.
     """
     exists, left_size, is_source, _ = states
     n, rho = rt.n, rt.rho
-    # flat views; (center, power) row r = center * (rho + 1) + power
-    kappa, labels = rt.kappa.reshape(-1), rt.comp_label.reshape(-1)
+    # flat views; (center, power) ball r = center * (rho + 1) + power
+    lmap, labels = rt.label_map.reshape(-1), rt.comp_label.reshape(-1)
+    # balls with oriented states, kappa 1 or 2: those with a left-label-1
+    # state (kappa is 0 at power 0)
+    oriented = _EXISTS[:, 1].take(rt.kappa.reshape(-1), mode="clip")
+    # the targets are ordered before the first batch is asked for, so the
+    # sort's temporaries are gone before the caller allocates its own
+    # per-state arrays; kept as int32 ids (below 3 n rho < 2**31)
     targets = np.flatnonzero(exists & ~is_source)
-    targets = targets[np.argsort(left_size[targets], kind="stable")]
-    # a target costs left_size candidates at about 120 bytes each and one
-    # row of the dense target x vertex block at about 6 bytes per vertex,
-    # n // 20 candidates' worth; batches of about max(n^2/2, 2^13) such
-    # units are few on small graphs and small beside the tables on large
-    # ones (6 n^2 rho table bytes)
-    batch = np.cumsum(left_size[targets] + n // 20) // max(n * n // 2, 1 << 13)
+    targets = targets[np.argsort(left_size[targets], kind="stable")].astype(np.int32)
+    table_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + req.req.nbytes
+    batch = np.cumsum(np.add(left_size[targets], n // 8, dtype=np.int64))
+    batch //= max(table_bytes // 450, 8192)
     cuts = [*_run_starts(batch).tolist(), targets.size]
-    for a, b in zip(cuts, cuts[1:]):
-        taus = targets[a:b]
-        w, q, left = _decode(taus, rho)
-        # target x vertex block; p = dist(w, v) - q - 1 lies in [-n, n), so
-        # int16 holds it
-        p = dm.dist[w]
-        p -= (q + 1).astype(np.int16)[:, None]
-        ok = rt.comp_label[w, q] == left[:, None]
-        ok &= req.req[w, q, left - 1] <= p
-        ok &= p <= rho
-        cell = np.flatnonzero(ok)
-        pos, v = np.divmod(cell, n)
-        p = p.reshape(-1)[cell]
-        vp = v * (rho + 1) + p  # p >= 0 outside the ball; labels are 0 at power 0
-        rlab = labels[vp * n + w[pos]]
-        m = rlab > 0
-        pos, v, p, vp, rlab = pos[m], v[m], p[m], vp[m], rlab[m]
-        src = _state_id(v, p, np.where(kappa[vp] == 1, 0, 3 - rlab), rho)
-        dst = taus[pos]
-        # acyclicity witness: the left side strictly grows along every arc
-        if (left_size[src] >= left_size[dst]).any():
-            raise InternalError("an arc does not grow the left side")
-        yield dst, src
+
+    def batches():
+        for a, b in zip(cuts, cuts[1:]):
+            taus = targets[a:b].astype(np.int64)
+            w, q, left = _decode(taus, rho)
+            # target x vertex block; p = dist(w, v) - q - 1 lies in [-n, n),
+            # so int16 holds it
+            p = dm.dist[w]
+            p -= (q + 1).astype(np.int16)[:, None]
+            stored = rt.label_map[w, q]  # 0 unless tau's ball has two components
+            ok = rt.comp_label[stored] == np.multiply(left, stored > 0, dtype=np.int8)[:, None]
+            ok &= req.req[req.row_map[w, q, left - 1]] <= p
+            ok &= p.view(np.uint16) <= rho  # 0 <= p <= rho
+            # candidate arrays are narrowed one at a time and dropped once
+            # read, so few of them are alive at once; only dst and src stay
+            # alive while the caller reads them
+            cell = np.flatnonzero(ok)
+            del ok
+            p = p.reshape(-1)[cell]
+            pos, v = np.divmod(cell, n)
+            del cell
+            vp = v * (rho + 1)
+            vp += p  # the candidate ball (v, p)
+            m = oriented[vp]
+            pos = pos[m]
+            v = v[m]
+            p = p[m]
+            vp = vp[m]
+            del m
+            at = lmap[vp]  # the stored row of the candidate ball
+            del vp
+            at = np.multiply(at, n, dtype=np.int64)
+            at += w[pos]
+            dst = taus[pos]
+            del pos
+            rlab = labels[at]  # 0 from the zero row on a one-component ball
+            del at
+            src = _state_id(v, p, (3 - rlab) * (rlab != 0), rho)  # the other label, or 0
+            del v, p, rlab
+            # acyclicity witness: the left side strictly grows along every arc
+            reach = left_size[src]
+            if (reach >= left_size[dst]).any():
+                raise InternalError("an arc does not grow the left side")
+            yield dst, src, reach
+            del dst, src, reach
+
+    return batches()
 
 
 def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable) -> StateDag:
@@ -254,7 +313,7 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
     pulls the arcs itself."""
     states = _dense_tables(rt)
     srcs, dsts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for dst, src in _in_arcs(dm, rt, req, states):
+    for dst, src, _ in _in_arcs(dm, rt, req, states):
         srcs.append(src)
         dsts.append(dst)
     return StateDag(g.n, rt.rho, *states, arc_src=np.concatenate(srcs), arc_dst=np.concatenate(dsts))
@@ -268,6 +327,36 @@ def _allowed_sources(is_source: np.ndarray, start: np.ndarray | None, rho: int) 
     return is_source & start[v, p - 1]
 
 
+def _relax(best, left_size, rho, dst, src, reach) -> None:
+    """Lower best at the targets of one batch of in-arcs (_solve_states);
+    reach is each arc's source left size.  Targets come in increasing left
+    size, and a run of left sizes takes one minimum.reduceat when none of
+    its arcs reads a left size inside the run: every source it reads is
+    then final.  So a new run starts at the first left size whose largest
+    reach is at least the run's smallest left size."""
+    first = _run_starts(dst)  # first offer to each target
+    taus = dst[first]
+    gain = _power(taus, rho) << 32  # each target's power, added once
+    sizes = left_size[taus]
+    groups = _run_starts(sizes)  # one per left size
+    bounds, low = [], -1
+    for g, size, read in zip(
+        groups.tolist(), sizes[groups].tolist(), np.maximum.reduceat(reach, first[groups]).tolist()
+    ):
+        if read >= low:
+            bounds.append(g)
+            low = size
+    bounds.append(taus.size)
+    ends = [*first.tolist(), dst.size]
+    for a, b in zip(bounds, bounds[1:]):
+        lo, hi = ends[a], ends[b]
+        offers = best[src[lo:hi]] >> 32 << 32
+        offers += src[lo:hi]
+        least = np.minimum.reduceat(offers, first[a:b] - lo)
+        least += gain[a:b]
+        best[taus[a:b]] = least
+
+
 def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, start: np.ndarray | None = None):
     """Shortest source-to-sink chain by a pull DP in left-size order.
 
@@ -279,10 +368,11 @@ def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, 
 
     Each state keeps one int64, (cost << 32) + predecessor id.  Each in-arc
     offers its target ((cost of the source + power of the target) << 32) +
-    source id, and one minimum.reduceat per left size keeps each target's
-    smallest offer.  Every source of a left size is final, so a state's
-    value is its cheapest cost with the smallest source id among its tight
-    in-arcs.  That id is the lexicographic tie-break because, for a fixed
+    source id, and one minimum.reduceat per run of left sizes (_relax)
+    keeps each target's smallest offer.  The target's power is the same in
+    all its offers, so it is added to the minimum, once per target.  Every
+    source a run reads is final, so a state's value is its cheapest cost
+    with the smallest source id among its tight in-arcs.  That id is the lexicographic tie-break because, for a fixed
     state and predecessor center, distance and labels force the
     predecessor's power and orientation, so each predecessor center owns
     exactly one candidate id, and ids ascend with the center.  Unreached
@@ -293,21 +383,16 @@ def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, 
     and loading it costs about 128 KB resident.
     """
     states = _dense_tables(rt)
-    exists, left_size, is_source, is_sink = states
+    left_size, is_source, is_sink = states[1:]
     sources = _allowed_sources(is_source, start, rt.rho)
-    power = _decode(np.arange(exists.size), rt.rho)[1]
-    best = np.full(exists.size, _INF << 32 | _NO_PRED, dtype=np.int64)
-    best[sources] = (power[sources] << 32) + _NO_PRED
-    for dst, src in _in_arcs(dm, rt, req, states):
-        offers = (power[dst] << 32) + src  # still without the source's cost
-        first = _run_starts(dst)  # first offer to each target
-        taus = dst[first]
-        bounds = [*_run_starts(left_size[taus]).tolist(), taus.size]
-        ends = [*first.tolist(), dst.size]
-        for a, b in zip(bounds, bounds[1:]):  # one left size at a time
-            lo, hi = ends[a], ends[b]
-            costs = best[src[lo:hi]] >> 32 << 32
-            best[taus[a:b]] = np.minimum.reduceat(costs + offers[lo:hi], first[a:b] - lo)
+    arcs = _in_arcs(dm, rt, req, states)
+    best = np.full(left_size.size, _INF << 32 | _NO_PRED, dtype=np.int64)
+    ids = np.flatnonzero(sources)
+    best[ids] = (_power(ids, rt.rho) << 32) + _NO_PRED
+    del states, ids
+    for batch in arcs:
+        _relax(best, left_size, rt.rho, *batch)
+        del batch  # not alive while the next batch is built
     cost = best >> 32
     sink_ids = np.flatnonzero(is_sink & (cost < _INF))
     if sink_ids.size == 0:
@@ -335,11 +420,12 @@ _PHYSICAL_MEMORY = _physical_memory()  # read once, at import
 
 
 def _table_bytes(n: int, rad: int) -> int:
-    """Bytes of the path tables of an n-vertex graph of radius rad: int16
-    labels, 2 n^2 (rad+1), int16 requirements, 4 n^2 (rad+1), and a third
-    as much again, 2 n^2 (rad+1), as an allowance for the working memory
-    beside them: the label pass's blocks and the DP's batches."""
-    return 8 * n * n * (rad + 1)
+    """Bytes of the path tables of an n-vertex graph of radius rad in the
+    worst case, before any of them is built: int8 label rows, at most
+    n^2 (rad+1), int16 requirement rows, at most 4 n^2 (rad+1), and an
+    allowance of 2 n^2 (rad+1) for the working memory beside them: the row
+    maps, the label pass's blocks and the DP's batches."""
+    return 7 * n * n * (rad + 1)
 
 
 def _path_tables(h: Graph, solver: str):

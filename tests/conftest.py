@@ -1,7 +1,8 @@
 """Shared helpers: exhaustive small-graph enumeration, seeded randoms, a
-hypothesis strategy for connected graphs, the path-case tables, the scalar
-arc set, the ball laws, a ball-count multipacking check, the cycle shape of
-a domination graph, bit-mask vertex sets and a CLI runner.
+hypothesis strategy for connected graphs, the path-case tables and their
+dense views, the scalar arc set, the ball laws, a ball-count multipacking
+check, the cycle shape of a domination graph, bit-mask vertex sets and a
+CLI runner.
 
 connected_graphs feeds test_acceptance's exhaustive_sweep, the one tier-1
 pass over every connected graph with n <= 6, which builds each graph's
@@ -38,7 +39,19 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def members(rt, v, p, label) -> int:
     """Bit mask of the residual component of B(v, p) with this label."""
-    return bits_of(np.flatnonzero(rt.comp_label[v, p] == label).tolist())
+    return bits_of(np.flatnonzero(rt.label_row(v, p) == label).tolist())
+
+
+def dense_labels(rt) -> np.ndarray:
+    """Every ball's label row through ResidualTable.label_row, as one dense
+    (n, rho+1, n) int16 array: the layout the tables were pinned in."""
+    return np.array([[rt.label_row(v, p) for p in range(rt.rho + 1)] for v in range(rt.n)], dtype=np.int16)
+
+
+def dense_req(rq) -> np.ndarray:
+    """The requirement rows of every (ball, label) pair through the row map,
+    as one dense (n, rho+1, 2, n) int16 array, zero rows included."""
+    return rq.req[rq.row_map]
 
 
 def tables(g):

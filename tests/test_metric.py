@@ -11,7 +11,7 @@ from broadcast_domination.graph import Graph, apsp, bits_of
 from broadcast_domination.metric import _run_starts, _ShellSets, requirement_table, residual_decompositions
 from broadcast_domination.verify import ball_mask
 
-from conftest import ball_law_violations, iter_bits, members, random_connected_graph, tables
+from conftest import ball_law_violations, dense_labels, dense_req, iter_bits, members, random_connected_graph, tables
 
 
 def bfs_component_labels(g, inside):
@@ -175,15 +175,15 @@ class TestResidualDecompositions:
     def test_p4_inner_ball(self):
         _, rt, _ = tables(path_graph(4))
         assert rt.kappa[1, 1] == 1
-        assert rt.comp_label[1, 1, 3] == 1
+        assert rt.label_row(1, 1)[3] == 1
         assert rt.comp_size[1, 1, 1] == 1
         assert members(rt, 1, 1, 1) == bits_of([3])
 
     def test_p5_center_ball_splits(self):
         _, rt, _ = tables(path_graph(5))
         assert rt.kappa[2, 1] == 2
-        assert rt.comp_label[2, 1, 0] == 1  # first touch: vertex 0
-        assert rt.comp_label[2, 1, 4] == 2
+        assert rt.label_row(2, 1)[0] == 1  # first touch: vertex 0
+        assert rt.label_row(2, 1)[4] == 2
         assert rt.comp_size[2, 1, 1] == rt.comp_size[2, 1, 2] == 1
 
     def test_p5_kappa_and_sizes(self):
@@ -212,15 +212,17 @@ class TestResidualDecompositions:
         # for it: kappa is kept, sizes and labels are not
         assert rt.kappa[1, 1] == 4
         assert not rt.comp_size[1, 1].any()
-        assert not rt.comp_label[1, 1].any()
+        assert not rt.label_row(1, 1).any()
         # the radial centre ball leaves nothing outside it
         assert rt.kappa[0, 1] == 0
         assert not rt.comp_size[0, 1].any()
 
     def test_tables_pinned(self):
-        # sha256 of the raw bytes of kappa, comp_label, comp_size and req:
-        # any rewrite of the residual or requirement layer must reproduce
-        # the tables byte for byte
+        # sha256 of the bytes of kappa, the dense int16 label rows, comp_size
+        # and the dense int16 requirement rows, both rebuilt through the
+        # accessors in the layout the digests were taken in: any rewrite of
+        # the residual or requirement layer must reproduce the tables byte
+        # for byte
         pinned = [
             (
                 "path-96",
@@ -278,7 +280,7 @@ class TestResidualDecompositions:
             _, rt, rq = tables(g)
             got = [
                 hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-                for a in (rt.kappa, rt.comp_label, rt.comp_size, rq.req)
+                for a in (rt.kappa, dense_labels(rt), rt.comp_size, dense_req(rq))
             ]
             assert got == want, name
 
@@ -287,15 +289,16 @@ class TestResidualDecompositions:
             dm, rt, _ = tables(g)
             # the label contract requirement_table and _in_arcs rely on: no
             # label at power 0 or on a ball with more than two components
-            assert not rt.comp_label[:, 0].any()
-            assert not rt.comp_label[rt.kappa > 2].any()
+            labels = dense_labels(rt)
+            assert not labels[:, 0].any()
+            assert not labels[rt.kappa > 2].any()
             for v in range(g.n):
                 for p in range(1, dm.radius + 1):
                     mask = ball_mask(dm, v, p)
                     want, count = bfs_component_labels(g, mask)
                     assert rt.kappa[v, p] == count
                     if count <= 2:
-                        got = rt.comp_label[v, p].tolist()
+                        got = labels[v, p].tolist()
                         assert got == want
 
     def test_sizes_partition_complement(self, label_graphs):
@@ -310,11 +313,27 @@ class TestResidualDecompositions:
                     assert total == outside
 
 
+    def test_stored_rows_only_for_two_component_balls(self, label_graphs):
+        # a one-component ball's row is dist > p and is never stored; the
+        # stored int8 rows are one per two-component ball below the zero
+        # row, which every other ball's map entry points at
+        for g in label_graphs:
+            dm, rt, _ = tables(g)
+            two = rt.kappa == 2
+            assert rt.comp_label.dtype == np.int8
+            assert rt.comp_label.shape == (1 + int(two.sum()), g.n)
+            assert not rt.comp_label[0].any()
+            assert not rt.label_map[~two].any()
+            assert sorted(rt.label_map[two].tolist()) == list(range(1, rt.comp_label.shape[0]))
+            for v, p in zip(*np.nonzero(rt.kappa == 1)):
+                assert rt.label_row(v, p).tolist() == (dm.dist[v] > p).tolist()
+
+
 class TestRequirements:
     def test_p6_frontier_examples(self):
         _, rt, rq = tables(path_graph(6))
         # ball (1,1): residual components {3,4,5} and nothing else on the left
-        lab = int(rt.comp_label[1, 1, 3])
+        lab = int(rt.label_row(1, 1)[3])
         assert rq.value(1, 1, lab, 4) == 1  # frontier {3}, dist(4,3)=1
         assert rq.value(1, 1, lab, 5) == 2
 
@@ -362,10 +381,20 @@ class TestBallLaws:
 
 class TestPreconditions:
     def test_single_vertex_has_no_balls(self):
-        # radius 0: every table is one zero row, no ball of power 1 or more
+        # radius 0: no ball of power 1 or more, so the stored label and
+        # requirement tables are their zero rows alone, and every map entry
+        # points at them
         dm, rt, rq = tables(Graph.from_edges(1, []))
         assert dm.radius == rt.rho == 0
-        for a, shape in [(rt.kappa, (1, 1)), (rt.comp_label, (1, 1, 1)), (rt.comp_size, (1, 1, 3)), (rq.req, (1, 1, 2, 1))]:
+        arrays = [
+            (rt.kappa, (1, 1)),
+            (rt.comp_label, (1, 1)),
+            (rt.label_map, (1, 1)),
+            (rt.comp_size, (1, 1, 3)),
+            (rq.req, (1, 1)),
+            (rq.row_map, (1, 1, 2)),
+        ]
+        for a, shape in arrays:
             assert a.shape == shape and not a.any(), shape
 
     def test_disconnected_rejected(self):

@@ -35,7 +35,16 @@ from broadcast_domination.pathdag import (
 )
 from broadcast_domination.verify import Broadcast, ball_mask, verify_dominating, verify_efficient, verify_path_shaped
 
-from conftest import connected_graphs, iter_bits, members, random_connected_graph, random_suite, scalar_arcs, tables
+from conftest import (
+    connected_graphs,
+    dense_labels,
+    iter_bits,
+    members,
+    random_connected_graph,
+    random_suite,
+    scalar_arcs,
+    tables,
+)
 
 
 def balls_containing(dm, rho, u):
@@ -190,9 +199,9 @@ class TestBuildDag:
             dag = build_dag(g, dm, rt, rq)
             v, p, _ = _decode(dag.arc_src, dag.rho)
             w, q, _ = _decode(dag.arc_dst, dag.rho)
-            label = rt.comp_label[v, p, w]
+            label = dense_labels(rt)[v, p, w]
             assert (label >= 1).all()
-            assert (rq.req[v, p, label - 1, w] <= q).all()
+            assert (rq.req[rq.row_map[v, p, label - 1], w] <= q).all()
 
     def test_arcs_grow_left_size(self, small_random_graphs):
         for g in small_random_graphs[:20]:
@@ -351,14 +360,19 @@ class TestSolvePath:
             solve_path(path_graph(6))
 
     def test_table_estimate_counts_tables_and_working_allowance(self):
-        # the label and requirement tables plus an allowance of two bytes
-        # per label cell for the working memory beside them (label blocks,
-        # DP batches); path-3000 would need 100.6 GiB
-        for g in (path_graph(12), cycle_graph(30), barbell_graph(24)):
+        # the worst case of the compact layout, known before any table is
+        # built: int8 label rows, n^2 (rad+1) bytes, int16 requirement rows,
+        # 4 n^2 (rad+1), and an allowance of 2 n^2 (rad+1) for the working
+        # memory beside them (row maps, label blocks, DP batches); the built
+        # tables stay within their parts; path-3000 would need 88.1 GiB
+        for g in (path_graph(12), cycle_graph(30), barbell_graph(24), star_graph(9), random_tree(40, 2)):
             dm, rt, rq = tables(g)
-            want = rt.comp_label.nbytes + rq.req.nbytes + 2 * rt.comp_label.size
-            assert pathdag._table_bytes(g.n, dm.radius) == want
-        assert pathdag._table_bytes(3000, 1500) == 108_072_000_000
+            cells = g.n * g.n * (dm.radius + 1)
+            assert pathdag._table_bytes(g.n, dm.radius) == 7 * cells
+            assert rt.comp_label.nbytes <= cells
+            assert rq.req.nbytes <= 4 * cells
+            assert rt.label_map.nbytes + rq.row_map.nbytes <= 2 * cells
+        assert pathdag._table_bytes(3000, 1500) == 94_563_000_000
 
     def test_tables_beyond_physical_memory_exit_2(self, monkeypatch, tmp_path, capsys):
         # the check compares numbers, so a lowered memory figure tests it
