@@ -1,4 +1,4 @@
-"""Ball complements: residual components and frontier requirement tables.
+"""Ball complements: residual components and the frontier requirement index.
 
 For a candidate ball the path solver needs three things: how many pieces
 the rest of the graph falls into once the ball is removed, which piece each
@@ -8,15 +8,22 @@ piece.  All of it is built for every (center, power) pair in one cubic
 sweep.  Only the rows a state can read are stored: a ball with one
 component labels every outside vertex 1, so its label row is dist > p and
 is never stored; a two-component ball keeps one int8 label row; balls with
-no component or more than two keep only their component count.  Each
-(ball, label) pair with a state keeps one int16 requirement row.  Row maps
-send every ball to its rows, and every ball without a row to a shared zero
-row 0.  Per center the Python work is the shell-by-shell disjoint-set
+no component or more than two keep only their component count.  A row map
+sends every ball to its label row, and every ball without one to a shared
+zero row 0.  Per center the Python work is the shell-by-shell disjoint-set
 build and, per two-component ball, one copy of the label-2 class into an
 int16 buffer; the stored label rows are then written by array passes over
-a block of centers at a time.  The requirement table takes each frontier
-slice's row maximum one member rank at a time, so its NumPy calls grow
-with the largest slice, not with the number of slices.
+a block of centers at a time.
+
+The requirements are not stored as rows.  Each (ball, label) pair with a
+state keeps only its frontier vertices, in an index of at most n^2 int16
+entries whose rows are numbered in the DP's target order, left size, then
+state id.  A requirement row is each frontier slice's row maximum over the
+distance matrix; the DP folds the rows of each batch of targets from one
+contiguous slice of the index just before it reads them, one member rank
+at a time, so the NumPy calls grow with the largest slice, not with the
+number of slices.  A batch is sized as a share of all rows folded at
+once, not of the small index, so a large graph still takes a few dozen.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     new = np.empty(a.size, dtype=bool)
     new[:1] = True
     np.not_equal(a[1:], a[:-1], out=new[1:])
-    return np.flatnonzero(new)
+    return new.nonzero()[0]
 
 
 class _ShellSets:
@@ -235,103 +242,164 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
 
 @dataclass(frozen=True, eq=False)
 class RequirementTable:
-    """req[row_map[v, p, label-1], w] = max dist(w, z) over frontier vertices
-    z of B(v, p) lying in the labeled component; 0 when the frontier is
-    empty.
+    """The frontier index: for every (ball, label) pair with a state, the
+    frontier vertices z of B(v, p) in the labeled component, those with
+    dist(v, z) = p + 1.  The pair's requirement row holds, for every w, the
+    largest dist(w, z) over them.  A ball (w, q) covers that frontier slice
+    iff the row's entry at w is <= q, which is the constant-time form of the
+    arc coverage condition.  Rows are folded from dist when they are read,
+    never stored: by rows, value and the DP's batches (pathdag._in_arcs).
 
-    A ball (w, q) covers that frontier slice iff the stored value is <= q,
-    which is the constant-time form of the arc coverage condition.  Only the
-    (ball, label) pairs that have a state keep a row: label 1 of a
-    one-component ball, labels 1 and 2 of a two-component ball, whose rows
-    are consecutive.  row_map sends every other pair to the zero row 0.
+    The pairs with a row are label 1 of a one-component ball and labels 1
+    and 2 of a two-component ball, which are exactly the non-source states
+    (v, p, label), with the label on the left.  Rows 1, 2, ... are numbered
+    in the DP's target order, left size, then state id, so a batch of
+    targets reads one contiguous slice of req.  Row r's members are
+    req[start[r]:start[r + 1]], ascending; row 0 has none, and row_map
+    sends every pair without a row to it, which reads 0.  pair[r - 1] is
+    row r's (ball, label) position in row_map's flat layout,
+    (v * (rho + 1) + p) * 2 + label - 1.  Each ordered pair (v, z) with
+    2 <= dist(v, z) <= rho + 1 lies on the frontier of one ball only,
+    (v, dist - 1), so req holds at most n^2 entries.  Every row has at
+    least one member, because each component of G - B(v, p) meets the
+    shell S_{p+1} (proof in residual_decompositions).  The DP sizes its
+    batches from the bytes every row would take folded at once, 2 n per
+    row, not from the index's own size (pathdag._in_arcs).  dist is the
+    distance matrix the rows are folded from, not a copy.
     """
 
-    req: np.ndarray  # (1 + rows, n) int16
+    req: np.ndarray  # (members,) int16, the frontier vertices row by row
+    start: np.ndarray  # (rows + 2,) int32 row offsets into req
     row_map: np.ndarray  # (n, rho+1, 2) int32
+    pair: np.ndarray  # (rows,) int32, the (ball, label) of each row
+    dist: np.ndarray  # (n, n) int16, the DistanceMatrix's own array
+
+    def rows(self, ids) -> np.ndarray:
+        """Dense int16 requirement rows of an array of row ids, of shape
+        ids.shape + (n,); row id 0 reads zeros."""
+        ids = np.asarray(ids)
+        flat = ids.reshape(-1)
+        out = np.zeros((flat.size, self.dist.shape[0]), dtype=np.int16)
+        at = np.flatnonzero(flat)
+        if at.size:
+            lo = self.start[flat[at]]
+            size = self.start[flat[at] + 1] - lo
+            starts = np.cumsum(size) - size
+            out[at] = _fold(self.dist, self.req[np.repeat(lo - starts, size) + np.arange(size.sum())], starts)
+        return out.reshape(ids.shape + out.shape[1:])
 
     def value(self, v: int, p: int, label: int, w: int) -> int:
-        return int(self.req[self.row_map[v, p, label - 1], w])
+        r = self.row_map[v, p, label - 1]
+        return int(self.dist[w, self.req[self.start[r] : self.start[r + 1]]].max(initial=0))
 
 
 # which labels of a ball have a requirement row, indexed by min(kappa, 3):
 # the labels l in {1, 2} that are the left label of one of its states
 _HAS_ROW = np.array([[0, 0], [1, 0], [1, 1], [0, 0]], dtype=bool)
 
-# up to this many group-by-vertex cells a block takes its group maxima with
-# one maximum.reduceat, which makes fewer NumPy calls than the rank loop;
-# every small-batch graph (n <= 12) lies below, the path-case graphs far above
+# up to this many row-by-vertex cells a fold takes its row maxima with one
+# maximum.reduceat, which makes fewer NumPy calls than the rank loop; every
+# small-batch graph (n <= 12) lies below, the path-case batches far above
 _REDUCEAT_CELLS = 1 << 11
 
 
-def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> RequirementTable:
-    """Fill the requirement table in O(n^3).
+def _fold(dist: np.ndarray, members: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Requirement rows of consecutive member groups: row i is the maximum
+    of dist over members[starts[i]:starts[i + 1]], the last group running
+    to the end.  Every group is nonempty (RequirementTable), so each row
+    starts from its first member's distance row, with no zero fill.
 
-    A vertex z neighbors B(v, p) exactly when dist(v, z) = p + 1, so every
-    ordered pair (v, z) contributes to one radius only.  Pairs are grouped
-    by (center, radius, component), for a block of centers at a time.  A
-    block's index arrays and row maxima are sized from the tables, at most
-    about a quarter of the stored rows' bytes or 384 KiB, whichever is
-    larger: small graphs take one pass, and large ones stay within a
-    fraction of the table, so the layer's peak follows the compact rows.
-    The row map, built from kappa, names each pair's row: a ball has rows
-    exactly when it has one or two components.  A frontier vertex lies
-    outside its ball, so on a one-component ball its label is 1 and its row
-    the ball's first; on a two-component ball the stored label picks the
-    first row or the next.  The label is gathered through the label map for
-    every pair, with no branch: a ball without a stored row reads the zero
-    row, which adds 0, and a ball without requirement rows keeps the key 0,
+    Rows are folded by member rank.  With the groups sorted by size,
+    largest first, those with more than r members are a prefix, so one
+    np.maximum per rank r folds every group's r-th row in; the rows are put
+    back in group order at the end.  That is one NumPy call per rank, where
+    maximum.reduceat along axis 0 runs its inner loop once per group and
+    column; only blocks of at most _REDUCEAT_CELLS row-by-vertex cells
+    still take the single reduceat.
+    """
+    if starts.size * dist.shape[1] <= _REDUCEAT_CELLS:
+        return np.maximum.reduceat(dist.take(members, axis=0), starts, axis=0)
+    sizes = np.diff(starts, append=members.size)
+    order = (-sizes).argsort(kind="stable")  # largest group first
+    first = starts[order]
+    out = dist.take(members[first], axis=0)
+    more = (starts.size - np.cumsum(np.bincount(sizes))).tolist()  # groups with > r members
+    for r in range(1, len(more) - 1):
+        c = more[r]
+        np.maximum(out[:c], dist.take(members[first[:c] + r], axis=0), out=out[:c])
+    rows = np.empty_like(out)
+    rows[order] = out
+    return rows
+
+
+def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> RequirementTable:
+    """Build the frontier index in O(n^2 log n) time and at most n^2 int16
+    entries.
+
+    Rows are numbered first: the (ball, label) pairs with a row, found from
+    kappa, in state id order, then sorted stably by left size, the pair's
+    component size.  A vertex z neighbors B(v, p) exactly when
+    dist(v, z) = p + 1, so every ordered pair (v, z) is a member of one row
+    at most.  Pairs are keyed by their row, for a block of centers at a
+    time.  A frontier vertex lies outside its ball, so on a one-component
+    ball its label is 1 and its row the ball's label-1 row; on a
+    two-component ball the stored label picks the label-1 row or the
+    label-2 one.  The label is gathered through the label map for every
+    pair, with no branch: a ball without a stored row reads the zero row,
+    which picks label 1, and a ball without requirement rows maps to row 0,
     which then drops the pair.
 
-    Each group's maximum over its members' distance rows is taken by member
-    rank.  With the groups sorted by size, largest first, those with more
-    than r members are a prefix, so one np.maximum per rank r folds every
-    group's r-th row in.  That is one NumPy call per rank, where
-    maximum.reduceat along axis 0 runs its inner loop once per group and
-    column; only blocks of at most _REDUCEAT_CELLS group-by-vertex cells
-    still take the single reduceat.
+    A center's pairs cost about 64 bytes per vertex in index arrays, and a
+    block of centers at most about a quarter of the label and component
+    tables, or 384 KiB: small graphs take one block, and large ones stay
+    within a fraction of the tables.  A block's pairs, sorted stably by row,
+    hold every row of its centers; they are then written to their rows'
+    places in the index, which a single block already is.
     """
     n = g.n
     rho = rt.rho
     has = _HAS_ROW.take(rt.kappa, axis=0, mode="clip")  # (n, rho+1, 2); kappa > 3 reads row 3
-    at = np.flatnonzero(has)  # the (ball, label) pairs with a row, in row order
-    rows = at.size
-    row_map = np.zeros(has.size, dtype=np.int32)
-    row_map[at] = np.arange(1, rows + 1, dtype=np.int32)
-    first_row = row_map[::2]  # by ball, center * (rho + 1) + power
-    req = np.zeros((rows + 1, n), dtype=np.int16)
+    rows = np.count_nonzero(has)
+    # by left size, then (center, power, label), which is state id order;
+    # the pairs without a row sort last, at size n
+    pair = np.where(has, rt.comp_size[:, :, 1:], n).reshape(-1).argsort(kind="stable")[:rows]
+    row_map = np.zeros(has.shape, dtype=np.int32)
+    row_map.reshape(-1)[pair] = np.arange(1, rows + 1, dtype=np.int32)
+    pair = pair.astype(np.int32)
+    by_ball = row_map.reshape(-1, 2)  # [ball, label - 1]
     lmap = rt.label_map.reshape(-1)
     dist = dm.dist
-    # a center costs about 64 bytes per vertex for its pairs' index arrays
-    # and 4 per vertex and row for its rows' maxima and one gathered rank;
-    # a block costs at most about a quarter of the tables, or 384 KiB
-    if n * (64 * n + 4 * rows) <= 3 << 17:
-        cuts = [0, n]
-    else:
-        cost = np.cumsum(64 + 4 * has.sum(axis=(1, 2))) * n
-        cost //= max((req.nbytes + rt.comp_label.nbytes) // 4, 3 << 17)
-        cuts = [*_run_starts(cost).tolist(), n]
-    for lo, hi in zip(cuts, cuts[1:]):
-        q_z = dist[lo:hi] - 2  # the power p = dist - 1 of z's ball, less 1
+    tables = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes
+    block = max(1, max(tables // 4, 3 << 17) // (64 * n))
+    parts = []  # per block of several: its rows, their first members' places, its members
+    for lo in range(0, n, block):
+        q_z = dist[lo : lo + block] - 2  # the power p = dist - 1 of z's ball, less 1
         vs, zs = np.nonzero(q_z.view(np.uint16) < rho)  # 1 <= p <= rho
         ball = vs * (rho + 1)
         ball += lo * (rho + 1) + 1
         ball += q_z[vs, zs]
-        key = first_row[ball]
-        key += rt.comp_label[lmap[ball], zs] >> 1  # label 2: the next row
+        del vs, q_z
+        key = by_ball[ball, rt.comp_label[lmap[ball], zs] >> 1]  # label 2 picks the second row
+        del ball
         m = key > 0  # 0 exactly on the balls without rows
-        zs, key = zs[m], key[m]
-        order = np.argsort(key, kind="stable")
+        zs, key = zs[m].astype(np.int16), key[m]
+        del m
+        order = key.argsort(kind="stable")
         zs, key = zs[order], key[order]
-        starts = _run_starts(key)
-        if starts.size * n <= _REDUCEAT_CELLS:
-            req[key[starts]] = np.maximum.reduceat(dist[zs], starts, axis=0)
-            continue
-        sizes = np.diff(starts, append=key.size)
-        first = starts[np.argsort(-sizes, kind="stable")]  # largest group first
-        out = dist[zs[first]]
-        more = (starts.size - np.cumsum(np.bincount(sizes))).tolist()  # groups with > r members
-        for r in range(1, len(more) - 1):
-            c = more[r]
-            np.maximum(out[:c], dist[zs[first[:c] + r]], out=out[:c])
-        req[key[first]] = out
-    return RequirementTable(req=req, row_map=row_map.reshape(has.shape))
+        del order
+        size = np.bincount(key, minlength=rows + 1)
+        count = count + size if lo else size  # members per row
+        if block < n:
+            first = _run_starts(key)
+            parts.append((key[first], first, zs))
+    start = np.zeros(rows + 2, dtype=np.int32)
+    start[1:] = count.cumsum()  # below n^2 < 2**31
+    if block >= n:  # one block: its members are in row order
+        req = zs
+    else:  # each row lies in its center's block: put the blocks' rows in place
+        req = np.empty(start[-1], dtype=np.int16)
+        for r, first, zs in parts:
+            at = np.repeat(start[r] - first, count[r])
+            at += np.arange(zs.size)
+            req[at] = zs
+    return RequirementTable(req=req, start=start, row_map=row_map, pair=pair, dist=dist)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DisconnectedGraphError, DistanceMatrix, Graph, GraphTooLargeError, InternalError, apsp
-from .metric import RequirementTable, ResidualTable, _run_starts, requirement_table, residual_decompositions
+from .metric import RequirementTable, ResidualTable, _fold, _run_starts, requirement_table, residual_decompositions
 from .verify import Broadcast
 
 __all__ = [
@@ -215,47 +215,54 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     target, so targets walked in order only read finished sources.
 
     The three tests that read only tau's own rows (v in the left
-    component, tau's facing frontier covered: req[w, q, l-1, v] <= p, and
-    0 <= p <= rho) run densely on the batch's target x vertex block, so
-    only the candidates that pass them reach the per-candidate gathers.
-    The dense left test compares each target's stored label row with l; a
-    one-component target reads the zero row and compares it with 0, which
-    always holds: its left component is the outside, dist(w, v) > q, that
-    is p >= 0, which the range test checks.  Per candidate, kappa first
-    drops the balls without states; then the facing label is gathered
-    through the label map for every kept candidate, with no branch: a
-    one-component ball reads 0 from the zero row, which gives left label 0.
-    Compressing to the two-component balls before that gather measured
-    slower on path-192.
+    component, tau's facing frontier covered: its requirement row at v is
+    <= p, and 0 <= p <= rho) run densely on the batch's target x vertex
+    block, so only the candidates that pass them reach the per-candidate
+    gathers.  Targets are the requirement table's rows, in the order it
+    numbers them, so a batch folds its targets' requirement rows from one
+    contiguous slice of the frontier index (metric._fold), just before the
+    dense test; no row outlives its batch.  The dense left test compares
+    each target's stored label row with l; a one-component target reads
+    the zero row and compares it with 0, which always holds: its left
+    component is the outside, dist(w, v) > q, that is p >= 0, which the
+    range test checks.  Per candidate, kappa first drops the balls without
+    states; then the facing label is gathered through the label map for
+    every kept candidate, with no branch: a one-component ball reads 0 from
+    the zero row, which gives left label 0.  Compressing to the
+    two-component balls before that gather measured slower on path-192.
 
-    A batch holds about max(B / 450, 8192) units, B the table bytes: one
-    unit per candidate, and n // 8 per target for its row of the dense
-    block.  The candidate arrays are narrowed one at a time and dropped
-    once read, so a unit costs about 30 bytes while the batch runs: on
-    large tables a batch takes about a fifteenth of them, and a solve of
-    the 128-vertex path, cycle or barbell peaks below 1.5 times its
-    tables.  The floor keeps batches few where tables are small and the
-    NumPy calls per batch, not memory, set the time.  A graph with at most
-    24 vertices takes one batch: its n * rho balls of power 1 to
-    rho <= n / 2 leave at most n - 2 vertices outside, shared by at most
-    two states, so it has at most n * rho * (n - 2 + 2 * (n // 8)) <= 8064
-    units.
+    A batch holds about max(C / 450, 8192) units: one unit per candidate,
+    and n // 8 per target for its row of the dense block.  C is the label
+    and component tables plus 2 n (rows + 1) bytes, the size of every
+    requirement row folded at once beside a zero row, which grows like
+    n^2 rho, so large graphs take a few dozen batches and small ones one;
+    the index itself is far smaller and would give far larger batches.
+    The candidate arrays are narrowed one at a time and dropped once read,
+    so a unit costs about 30 bytes while the batch runs, and a solve of the
+    128-vertex path, cycle or barbell peaks below 0.75 C.  The floor keeps
+    batches few where the tables are small and the NumPy calls per batch,
+    not memory, set the time.  A graph with at most 24 vertices takes one batch: its n * rho
+    balls of power 1 to rho <= n / 2 leave at most n - 2 vertices outside,
+    shared by at most two states, so it has at most
+    n * rho * (n - 2 + 2 * (n // 8)) <= 8064 units.
     """
-    exists, left_size, is_source, _ = states
+    left_size = states[1]
     n, rho = rt.n, rt.rho
     # flat views; (center, power) ball r = center * (rho + 1) + power
     lmap, labels = rt.label_map.reshape(-1), rt.comp_label.reshape(-1)
     # balls with oriented states, kappa 1 or 2: those with a left-label-1
     # state (kappa is 0 at power 0)
     oriented = _EXISTS[:, 1].take(rt.kappa.reshape(-1), mode="clip")
-    # the targets are ordered before the first batch is asked for, so the
-    # sort's temporaries are gone before the caller allocates its own
-    # per-state arrays; kept as int32 ids (below 3 n rho < 2**31)
-    targets = np.flatnonzero(exists & ~is_source)
-    targets = targets[np.argsort(left_size[targets], kind="stable")].astype(np.int32)
-    table_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + req.req.nbytes
-    batch = np.cumsum(np.add(left_size[targets], n // 8, dtype=np.int64))
-    batch //= max(table_bytes // 450, 8192)
+    # the targets in row order, as int32 ids like the row pairs (below
+    # 3 n rho < 2**31); the row of (ball, label) position b * 2 + l - 1 is
+    # the state (b, l)
+    ball, label = np.divmod(req.pair, 2)
+    targets = _state_id(*np.divmod(ball, rho + 1), label + 1, rho)
+    del ball, label
+    start = req.start
+    dense_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + 2 * n * (targets.size + 1)
+    batch = np.add(left_size[targets], n // 8, dtype=np.int64).cumsum()
+    batch //= max(dense_bytes // 450, 8192)
     cuts = [*_run_starts(batch).tolist(), targets.size]
 
     def batches():
@@ -268,7 +275,8 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
             p -= (q + 1).astype(np.int16)[:, None]
             stored = rt.label_map[w, q]  # 0 unless tau's ball has two components
             ok = rt.comp_label[stored] == np.multiply(left, stored > 0, dtype=np.int8)[:, None]
-            ok &= req.req[req.row_map[w, q, left - 1]] <= p
+            lo = start[a + 1]  # rows a + 1 to b
+            ok &= _fold(dm.dist, req.req[lo : start[b + 1]], start[a + 1 : b + 1] - lo) <= p
             ok &= p.view(np.uint16) <= rho  # 0 <= p <= rho
             # candidate arrays are narrowed one at a time and dropped once
             # read, so few of them are alive at once; only dst and src stay
@@ -422,10 +430,10 @@ _PHYSICAL_MEMORY = _physical_memory()  # read once, at import
 def _table_bytes(n: int, rad: int) -> int:
     """Bytes of the path tables of an n-vertex graph of radius rad in the
     worst case, before any of them is built: int8 label rows, at most
-    n^2 (rad+1), int16 requirement rows, at most 4 n^2 (rad+1), and an
-    allowance of 2 n^2 (rad+1) for the working memory beside them: the row
-    maps, the label pass's blocks and the DP's batches."""
-    return 7 * n * n * (rad + 1)
+    n^2 (rad+1), and an allowance of 2 n^2 (rad+1) for the memory beside
+    them: the row maps, the frontier index of at most n^2 int16 entries,
+    the label pass's blocks and the DP's batches."""
+    return 3 * n * n * (rad + 1)
 
 
 def _path_tables(h: Graph, solver: str):

@@ -49,9 +49,10 @@ def dense_labels(rt) -> np.ndarray:
 
 
 def dense_req(rq) -> np.ndarray:
-    """The requirement rows of every (ball, label) pair through the row map,
-    as one dense (n, rho+1, 2, n) int16 array, zero rows included."""
-    return rq.req[rq.row_map]
+    """The requirement rows of every (ball, label) pair through
+    RequirementTable.rows, as one dense (n, rho+1, 2, n) int16 array, zero
+    rows included: the layout the tables were pinned in."""
+    return rq.rows(rq.row_map)
 
 
 def tables(g):

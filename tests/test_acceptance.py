@@ -193,42 +193,49 @@ def exhaustive_sweep():
 
 @pytest.fixture(scope="session")
 def random_sweep():
-    """500 seeded random connected graphs with 7 <= n <= 12."""
-    graphs = random_suite(500, 7, 12, base_seed=1000)
-    rows = []
-    for g in graphs:
-        rows.append(
-            (
-                g,
-                solve_optimal(g),
-                oracle_gamma_b(g).cost,
-                solve_path(g),
-                oracle_gamma_path(g).cost,
-                _unpruned_optimum(apsp(g), iter_candidates(g)),
+    """500 seeded random connected graphs with 7 <= n <= 12: a row per
+    graph under "rows", (graph, solve_optimal, oracle gamma_b, solve_path,
+    oracle gamma_path, unpruned loop).  As in exhaustive_sweep, a graph
+    whose solve raises is recorded under "raised" with (n, edges, repr) and
+    the sweep goes on to the next graph."""
+    res = {"rows": [], "raised": []}
+    for g in random_suite(500, 7, 12, base_seed=1000):
+        try:
+            res["rows"].append(
+                (
+                    g,
+                    solve_optimal(g),
+                    oracle_gamma_b(g).cost,
+                    solve_path(g),
+                    oracle_gamma_path(g).cost,
+                    _unpruned_optimum(apsp(g), iter_candidates(g)),
+                )
             )
-        )
-    return rows
+        except Exception as exc:
+            res["raised"].append((g.n, g.edges(), repr(exc)))
+    return res
 
 
 def test_oracle_equivalence_general(exhaustive_sweep, random_sweep):
     # 1 + 1 + 4 + 38 + 728 + 26 704 connected labeled graphs on 1-6 vertices
     assert exhaustive_sweep["graphs"] == 27476
     assert exhaustive_sweep["gamma_b_mismatch"] == []
-    bad = [(g.n, g.edges()) for g, opt, oc, *_ in random_sweep if opt.cost != oc]
+    assert random_sweep["raised"] == []
+    bad = [(g.n, g.edges()) for g, opt, oc, *_ in random_sweep["rows"] if opt.cost != oc]
     assert bad == []
     _passed(
         "oracle equivalence (general)",
-        f"{exhaustive_sweep['graphs']} exhaustive graphs n<=6 + {len(random_sweep)} random 7<=n<=12, exact",
+        f"{exhaustive_sweep['graphs']} exhaustive graphs n<=6 + {len(random_sweep['rows'])} random 7<=n<=12, exact",
     )
 
 
 def test_oracle_equivalence_path_case(exhaustive_sweep, random_sweep):
     assert exhaustive_sweep["gamma_path_mismatch"] == []
-    bad = [(g.n, g.edges()) for g, _, _, sp, oc, _ in random_sweep if sp.cost != oc]
+    bad = [(g.n, g.edges()) for g, _, _, sp, oc, _ in random_sweep["rows"] if sp.cost != oc]
     assert bad == []
     _passed(
         "oracle equivalence (path case)",
-        f"{exhaustive_sweep['graphs']} exhaustive graphs n<=6 + {len(random_sweep)} random 7<=n<=12, exact",
+        f"{exhaustive_sweep['graphs']} exhaustive graphs n<=6 + {len(random_sweep['rows'])} random 7<=n<=12, exact",
     )
 
 
@@ -236,14 +243,14 @@ def test_pruned_peel_matches_unpruned_loop(exhaustive_sweep, random_sweep):
     # the diameter bound may drop only candidates that cannot strictly
     # improve, so the answer is the unpruned loop's, assignment for assignment
     assert exhaustive_sweep["pruned_differs"] == []
-    bad = [(g.n, g.edges()) for g, opt, *_, ref in random_sweep if opt != ref]
+    bad = [(g.n, g.edges()) for g, opt, *_, ref in random_sweep["rows"] if opt != ref]
     assert bad == []
-    pooled = random_sweep[::50]
+    pooled = random_sweep["rows"][::50]
     bad = [(g.n, g.edges()) for g, *_, ref in pooled if solve_optimal(g, threads=2) != ref]
     assert bad == []
     _passed(
         "pruned peel loop",
-        f"equals the unpruned loop on {exhaustive_sweep['graphs']} graphs n<=6 and {len(random_sweep)} random"
+        f"equals the unpruned loop on {exhaustive_sweep['graphs']} graphs n<=6 and {len(random_sweep['rows'])} random"
         f" 7<=n<=12; threads=2 on {len(pooled)} of them",
     )
 
@@ -254,14 +261,14 @@ def test_answers_pinned(exhaustive_sweep, random_sweep):
     got = {
         "exhaustive optimal": _answers_digest(exhaustive_sweep["optimal_answers"]),
         "exhaustive path": _answers_digest(exhaustive_sweep["path_answers"]),
-        "random optimal": _answers_digest(opt for _, opt, *_ in random_sweep),
-        "random path": _answers_digest(sp for _, _, _, sp, *_ in random_sweep),
-        "random anchored": _answers_digest(solve_path_anchored(g) for g, *_ in random_sweep),
+        "random optimal": _answers_digest(opt for _, opt, *_ in random_sweep["rows"]),
+        "random path": _answers_digest(sp for _, _, _, sp, *_ in random_sweep["rows"]),
+        "random anchored": _answers_digest(solve_path_anchored(g) for g, *_ in random_sweep["rows"]),
     }
     assert got == PINNED_DIGESTS
     _passed(
         "answers pinned",
-        f"assignment digests of {exhaustive_sweep['graphs']} graphs n<=6 and {len(random_sweep)} random 7<=n<=12",
+        f"assignment digests of {exhaustive_sweep['graphs']} graphs n<=6 and {len(random_sweep['rows'])} random 7<=n<=12",
     )
 
 
@@ -278,7 +285,7 @@ def test_multipacking_bound(exhaustive_sweep, random_sweep):
     assert exhaustive_sweep["packing_invalid"] == []
     assert exhaustive_sweep["packing_above_gamma"] == []
     short = 0
-    for g, _, gamma_b, *_ in random_sweep:
+    for g, _, gamma_b, *_ in random_sweep["rows"]:
         dm = apsp(g)
         packing = multipacking(dm)
         assert is_multipacking(dm, packing), (g.n, g.edges())
@@ -286,7 +293,7 @@ def test_multipacking_bound(exhaustive_sweep, random_sweep):
         short += len(packing) < gamma_b
     _passed(
         "multipacking bound",
-        f"valid and at most gamma_b on {exhaustive_sweep['graphs']} graphs n<=6 and {len(random_sweep)} random"
+        f"valid and at most gamma_b on {exhaustive_sweep['graphs']} graphs n<=6 and {len(random_sweep['rows'])} random"
         f" 7<=n<=12; below gamma_b on {short} of the random graphs",
     )
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree, star_graph, wheel_graph
 from broadcast_domination import metric
 from broadcast_domination.graph import Graph, apsp, bits_of
-from broadcast_domination.metric import _run_starts, _ShellSets, requirement_table, residual_decompositions
+from broadcast_domination.metric import _run_starts, _ShellSets, residual_decompositions
+from broadcast_domination.pathdag import build_dag, solve_path
 from broadcast_domination.verify import ball_mask
 
 from conftest import ball_law_violations, dense_labels, dense_req, iter_bits, members, random_connected_graph, tables
@@ -338,19 +339,25 @@ class TestRequirements:
         assert rq.value(1, 1, lab, 5) == 2
 
     def test_rank_fold_matches_reduceat(self, monkeypatch, small_random_graphs):
-        # the two ways of taking the group maxima, forced on every block
+        # the two ways of folding requirement rows, forced on every fold:
+        # the rows the accessor makes and the DP batches' arcs and answers
         graphs = [*small_random_graphs[:40], wheel_graph(33), barbell_graph(40), random_tree(60, 5)]
         for g in graphs:
-            dm, rt, _ = tables(g)
-            monkeypatch.setattr(metric, "_REDUCEAT_CELLS", 0)
-            ranks = requirement_table(g, dm, rt).req
-            monkeypatch.setattr(metric, "_REDUCEAT_CELLS", 1 << 62)
-            assert np.array_equal(ranks, requirement_table(g, dm, rt).req)
+            dm, rt, rq = tables(g)
+            got = []
+            for cells in (0, 1 << 62):
+                monkeypatch.setattr(metric, "_REDUCEAT_CELLS", cells)
+                dag = build_dag(g, dm, rt, rq)
+                got.append((dense_req(rq).tobytes(), dag.arc_src.tobytes(), dag.arc_dst.tobytes(), solve_path(g)))
+            assert got[0] == got[1]
 
     def test_default_zero(self):
         _, rt, rq = tables(path_graph(4))
-        # untouched entries keep the empty-max convention
-        assert rq.req.min() >= 0
+        # pairs without a row read the empty-max convention, 0, and every
+        # row is a maximum of distances
+        rows = dense_req(rq)
+        assert rows.min() >= 0
+        assert not rows[rq.row_map == 0].any()
 
     def test_coverage_equivalence(self, small_random_graphs):
         for g in small_random_graphs[:25]:
@@ -381,9 +388,9 @@ class TestBallLaws:
 
 class TestPreconditions:
     def test_single_vertex_has_no_balls(self):
-        # radius 0: no ball of power 1 or more, so the stored label and
-        # requirement tables are their zero rows alone, and every map entry
-        # points at them
+        # radius 0: no ball of power 1 or more, so the stored label table
+        # is its zero row alone, the frontier index is empty with the empty
+        # row 0 only, and every map entry points at those rows
         dm, rt, rq = tables(Graph.from_edges(1, []))
         assert dm.radius == rt.rho == 0
         arrays = [
@@ -391,8 +398,10 @@ class TestPreconditions:
             (rt.comp_label, (1, 1)),
             (rt.label_map, (1, 1)),
             (rt.comp_size, (1, 1, 3)),
-            (rq.req, (1, 1)),
+            (rq.req, (0,)),
+            (rq.start, (2,)),
             (rq.row_map, (1, 1, 2)),
+            (rq.pair, (0,)),
         ]
         for a, shape in arrays:
             assert a.shape == shape and not a.any(), shape

@@ -201,7 +201,8 @@ class TestBuildDag:
             w, q, _ = _decode(dag.arc_dst, dag.rho)
             label = dense_labels(rt)[v, p, w]
             assert (label >= 1).all()
-            assert (rq.req[rq.row_map[v, p, label - 1], w] <= q).all()
+            ids, row = np.unique(rq.row_map[v, p, label - 1], return_inverse=True)
+            assert (rq.rows(ids)[row, w] <= q).all()
 
     def test_arcs_grow_left_size(self, small_random_graphs):
         for g in small_random_graphs[:20]:
@@ -310,15 +311,19 @@ class TestSolvePath:
         "g", [path_graph(128), cycle_graph(128), barbell_graph(128)], ids=["path128", "cycle128", "barbell128"]
     )
     def test_memory_within_tables(self, g):
-        # the DP pulls in-arcs one left-size batch at a time, so no arc
-        # array of cubic length exists while solve_path runs; on the cycle
-        # almost every kept ball has one component, so the label pass, which
-        # writes blocks of at most _LABEL_CELLS cells, must not build a wide
-        # temporary over all those rows;
-        # the barbell's tables are small (rad 24), so there the DP's
-        # batches must stay small beside them too
+        # the DP pulls in-arcs one left-size batch at a time and folds each
+        # batch's requirement rows from the frontier index, so neither an
+        # arc array of cubic length nor a table of all requirement rows
+        # exists while solve_path runs; on the cycle almost every kept ball
+        # has one component, so the label pass, which writes blocks of at
+        # most _LABEL_CELLS cells, must not build a wide temporary over all
+        # those rows; the barbell's tables are small (rad 24), so there the
+        # DP's batches must stay small beside them too.  The reference is
+        # the label and component tables plus 2 n bytes per requirement row
+        # and one zero row, the size of all requirement rows folded at once
         _, rt, rq = tables(g)
-        table_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + rq.req.nbytes
+        rows = np.count_nonzero(rq.row_map)
+        dense_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + 2 * g.n * (rows + 1)
         del rt, rq
         tracemalloc.start()
         try:
@@ -326,7 +331,7 @@ class TestSolvePath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * table_bytes, f"peak {peak} B against {table_bytes} B of tables"
+        assert peak <= 0.75 * dense_bytes, f"peak {peak} B against {dense_bytes} B of dense tables"
 
     def test_chain_reusing_a_center_is_internal_error(self, monkeypatch):
         g = path_graph(6)
@@ -360,19 +365,20 @@ class TestSolvePath:
             solve_path(path_graph(6))
 
     def test_table_estimate_counts_tables_and_working_allowance(self):
-        # the worst case of the compact layout, known before any table is
-        # built: int8 label rows, n^2 (rad+1) bytes, int16 requirement rows,
-        # 4 n^2 (rad+1), and an allowance of 2 n^2 (rad+1) for the working
-        # memory beside them (row maps, label blocks, DP batches); the built
-        # tables stay within their parts; path-3000 would need 88.1 GiB
+        # the worst case, known before any table is built: int8 label rows,
+        # n^2 (rad+1) bytes, and an allowance of 2 n^2 (rad+1) for the
+        # memory beside them (row maps, the frontier index of at most n^2
+        # int16 entries, label blocks, DP batches); the built tables stay
+        # within their parts; path-3000 would need 37.7 GiB
         for g in (path_graph(12), cycle_graph(30), barbell_graph(24), star_graph(9), random_tree(40, 2)):
             dm, rt, rq = tables(g)
             cells = g.n * g.n * (dm.radius + 1)
-            assert pathdag._table_bytes(g.n, dm.radius) == 7 * cells
+            assert pathdag._table_bytes(g.n, dm.radius) == 3 * cells
             assert rt.comp_label.nbytes <= cells
-            assert rq.req.nbytes <= 4 * cells
-            assert rt.label_map.nbytes + rq.row_map.nbytes <= 2 * cells
-        assert pathdag._table_bytes(3000, 1500) == 94_563_000_000
+            assert rq.req.size <= g.n * g.n
+            index = rq.req.nbytes + rq.start.nbytes + rq.pair.nbytes
+            assert index + rt.label_map.nbytes + rq.row_map.nbytes <= 2 * cells
+        assert pathdag._table_bytes(3000, 1500) == 40_527_000_000
 
     def test_tables_beyond_physical_memory_exit_2(self, monkeypatch, tmp_path, capsys):
         # the check compares numbers, so a lowered memory figure tests it
