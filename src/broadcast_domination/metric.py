@@ -11,9 +11,11 @@ is never stored; a two-component ball keeps one int8 label row; balls with
 no component or more than two keep only their component count.  A row map
 sends every ball to its label row, and every ball without one to a shared
 zero row 0.  Per center the Python work is the shell-by-shell disjoint-set
-build and, per two-component ball, one copy of the label-2 class into an
-int16 buffer; the stored label rows are then written by array passes over
-a block of centers at a time.
+build, one scan of each vertex's neighbors in which it joins the class of
+the first active one and merges any further class it meets, and, per
+two-component ball, one copy of the label-2 class into an int16 buffer;
+the stored label rows are then written by array passes over a block of
+centers at a time.
 
 The requirements are not stored as rows.  Each (ball, label) pair with a
 state keeps only its frontier vertices, in an index of at most n^2 int16
@@ -93,50 +95,6 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return new.nonzero()[0]
 
 
-class _ShellSets:
-    """Disjoint sets of the vertices outside a shrinking ball, grown one
-    distance shell at a time.
-
-    parent[z] is the root of z's class, or -1 while z is inside the ball;
-    members[r] lists the class of root r and low[r] is its smallest vertex.
-    Roots are kept eagerly: a merge relabels the smaller class, O(n log n)
-    in total, and keeps the smaller of the two lows.
-    """
-
-    def __init__(self, n: int):
-        self.parent: list[int] = [-1] * n
-        self.members: list[list[int] | None] = [None] * n  # by root
-        self.low: list[int] = [0] * n  # by root
-
-    def add(self, shell, adj) -> int:
-        """Put every vertex of shell in a class of its own, then merge each
-        with its neighbors (adj[x]) outside the ball; returns the number of
-        merges, so the class count grows by len(shell) minus it."""
-        parent, members, low = self.parent, self.members, self.low
-        for x in shell:
-            parent[x] = x
-            members[x] = [x]
-            low[x] = x
-        merged = 0
-        for x in shell:
-            rx = parent[x]
-            for y in adj[x]:
-                ry = parent[y]
-                if ry < 0 or rx == ry:
-                    continue
-                mx, my = members[rx], members[ry]
-                if len(mx) < len(my) or (len(mx) == len(my) and ry < rx):
-                    rx, ry, mx, my = ry, rx, my, mx
-                for z in my:
-                    parent[z] = rx
-                mx.extend(my)
-                members[ry] = None
-                if low[ry] < low[rx]:
-                    low[rx] = low[ry]
-                merged += 1
-        return merged
-
-
 # the label pass writes the rows of as many centers as span at most this
 # many cells (at least one center), so its temporaries stay small beside
 # the label table and do not grow the layer's peak
@@ -147,11 +105,34 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     """Component structure of H - B(v, p) for every v and 1 <= p <= radius.
 
     Radii are processed in decreasing order per center: stepping from p+1 to
-    p activates exactly the distance-(p+1) shell in one disjoint-set call,
-    merging its vertices with their already-active neighbors, O(n^2) per
-    center.  That shell build, the component counts and sizes, kept in
-    Python lists, and one copy per two-component ball are the only
-    per-center Python work.
+    p activates exactly the distance-(p+1) shell, one vertex at a time.  The
+    active vertices form disjoint sets with eager roots: parent[z] is the
+    root of z's class (-1 while z is inside the ball), members[r] lists
+    root r's class and low[r] is its smallest vertex.  A vertex x being
+    activated scans its neighbors once.  The first active neighbor's class
+    takes x in: x gets its root, joins its member list and lowers its low
+    if x is smaller.  Every further distinct class x meets is merged into
+    x's, smaller into larger (equal sizes keep the smaller root), and the
+    kept root takes the smaller of the two lows.  Only an x with no active
+    neighbor opens a class of its own.  The class count rises by one per
+    opened class and falls by one per merge.
+
+    After each shell the classes are the components of the graph induced
+    on the active vertices, G - B(v, p).  Classes only join along edges
+    between active vertices, so each lies in one component.  Conversely,
+    every such edge is scanned from its later-activated endpoint x, when
+    the other end y is already active: x joins y's class, merges it into
+    its own, or finds it is its own already; classes never split, so both
+    ends stay in one class.  Vertices of one shell are activated one after
+    another, so this covers the edges inside a shell too.  Relabelling the
+    smaller class bounds the merges by O(n log n) per center, and the scans
+    take O(m).  Most activated vertices meet one class only (on paths and
+    cycles all but the one or two that open a class) and join it with one
+    append and no new list.  The shell build, the scans, the component
+    counts and sizes, kept in Python lists, and one copy per two-component
+    ball are the only per-center Python work.  The tables read only the partition after each
+    shell, the roots and the lows, so which root a merge keeps does not
+    show in them.
 
     A two-component ball needs only one of its classes.  Labels follow
     first touch over ascending vertex index, so label 1 is the class whose
@@ -193,15 +174,43 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
             shells: list[list[int]] = [[] for _ in range(ecc_v + 1)]
             for z, d in enumerate(dr):
                 shells[d].append(z)
-            sets = _ShellSets(n)
-            parent, members, low = sets.parent, sets.members, sets.low
+            parent = [-1] * n  # root of each active vertex's class; -1 inside the ball
+            members: list[list[int] | None] = [None] * n  # by root: its class
+            low = [0] * n  # by root: its class's smallest vertex
             ncomp = outside = 0
             kv = [0] * (rho + 1)
             sv = [0] * (rho + 1)  # size of label 1
             for p in range(ecc_v - 1, 0, -1):
                 shell = shells[p + 1]
                 outside += len(shell)
-                ncomp += len(shell) - sets.add(shell, adj)
+                for x in shell:
+                    rx = -1
+                    for y in adj[x]:
+                        ry = parent[y]
+                        if ry < 0 or ry == rx:
+                            continue
+                        if rx < 0:  # the first class x meets: x joins it
+                            rx = ry
+                            parent[x] = rx
+                            members[rx].append(x)
+                            if x < low[rx]:
+                                low[rx] = x
+                            continue
+                        mx, my = members[rx], members[ry]
+                        if len(mx) < len(my) or (len(mx) == len(my) and ry < rx):
+                            rx, ry, mx, my = ry, rx, my, mx
+                        for z in my:
+                            parent[z] = rx
+                        mx.extend(my)
+                        members[ry] = None
+                        if low[ry] < low[rx]:
+                            low[rx] = low[ry]
+                        ncomp -= 1
+                    if rx < 0:  # no active neighbor: x opens a class
+                        parent[x] = x
+                        members[x] = [x]
+                        low[x] = x
+                        ncomp += 1
                 if p <= rho:
                     kv[p] = ncomp
                     if ncomp == 1:
@@ -219,7 +228,7 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
                         sv[p] = outside - len(m)
             kappa_rows.append(kv)
             size_rows.append(sv)
-        del shells, sets, parent, members, low  # the block's sweep state
+        del shells, parent, members, low  # the block's sweep state
         kappa[lo:hi] = kappa_rows
         comp_size[lo:hi, :, 1] = size_rows
         if two_rows:

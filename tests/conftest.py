@@ -90,9 +90,9 @@ def connected_graphs(n):
 
 
 @st.composite
-def graphs(draw, max_n=16):
+def graphs(draw, max_n=16, min_n=1):
     # random tree plus extra edges: always connected
-    n = draw(st.integers(1, max_n))
+    n = draw(st.integers(min_n, max_n))
     edges = set()
     for v in range(1, n):
         edges.add((draw(st.integers(0, v - 1)), v))

@@ -8,11 +8,20 @@ from hypothesis import strategies as st
 from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree, star_graph, wheel_graph
 from broadcast_domination import metric
 from broadcast_domination.graph import Graph, apsp, bits_of
-from broadcast_domination.metric import _run_starts, _ShellSets, residual_decompositions
+from broadcast_domination.metric import _run_starts, residual_decompositions
 from broadcast_domination.pathdag import build_dag, solve_path
 from broadcast_domination.verify import ball_mask
 
-from conftest import ball_law_violations, dense_labels, dense_req, iter_bits, members, random_connected_graph, tables
+from conftest import (
+    ball_law_violations,
+    dense_labels,
+    dense_req,
+    graphs,
+    iter_bits,
+    members,
+    random_connected_graph,
+    tables,
+)
 
 
 def bfs_component_labels(g, inside):
@@ -53,95 +62,22 @@ def label_graphs(small_random_graphs):
     return small_random_graphs + larger
 
 
-def naive_roots(adj, added):
-    """Smallest-vertex representative of each vertex's component in the
-    graph induced on added."""
-    naive = {}
-    for s in sorted(added):
-        if s not in naive:
-            stack = [s]
-            naive[s] = s
-            while stack:
-                z = stack.pop()
-                for y in adj[z] & added:
-                    if y not in naive:
-                        naive[y] = s
-                        stack.append(y)
-    return naive
-
-
-class TestShellSets:
-    def test_add_counts_merges(self):
-        d = _ShellSets(5)
-        assert d.add([0], {0: [1, 2]}) == 0  # no neighbor added yet
-        assert d.add([2], {2: [0, 1]}) == 1
-        assert d.add([4], {4: [3]}) == 0
-        assert d.add([1], {1: [0, 2, 4]}) == 2  # 2 is already in 0's class
-        p = d.parent
-        assert p[0] == p[1] == p[2] == p[4] == p[p[0]] and p[3] == -1
-
-    @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30), st.permutations(range(10)))
-    @settings(max_examples=50, deadline=None)
-    def test_partition_matches_naive(self, pairs, order):
-        # after each one-vertex shell, parent labels exactly the components
-        # of the graph induced on the vertices added so far, and add returns
-        # the drop in their count, plus one
-        adj = {v: {b for a, b in pairs if a == v} | {a for a, b in pairs if b == v} for v in range(10)}
-        d = _ShellSets(10)
-        added: set[int] = set()
-        comps = 0
-        for x in order:
-            merged = d.add([x], {x: sorted(adj[x] - {x})})
-            added.add(x)
-            naive = naive_roots(adj, added)
-            assert merged == comps + 1 - len(set(naive.values()))
-            comps = len(set(naive.values()))
-            assert all((d.parent[a] == d.parent[b]) == (naive[a] == naive[b]) for a in added for b in added)
-            assert all(d.parent[z] == -1 for z in range(10) if z not in added)
-
-    def test_low_is_smallest_member(self):
-        # merges in both directions: the kept root's low comes from the
-        # absorbed class when that one holds the smaller vertex
-        d = _ShellSets(6)
-        adj = [[5], [4], [], [4, 5], [1, 3], [0, 3]]
-        d.add([3, 4, 5], adj)  # 4 and 5 join 3's class
-        r = d.parent[3]
-        assert d.low[r] == 3 and sorted(d.members[r]) == [3, 4, 5]
-        d.add([0, 1], adj)  # 0 and 1 join it from below
-        r = d.parent[3]
-        assert d.low[r] == 0 and sorted(d.members[r]) == [0, 1, 3, 4, 5]
-
-    @given(
-        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
-        st.permutations(range(10)),
-        st.lists(st.integers(1, 4), min_size=10, max_size=10),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_multi_vertex_shells_match_naive(self, pairs, order, widths):
-        # whole shells at once, with edges inside a shell too: the classes
-        # are the components of the graph induced on the vertices added so
-        # far, and the class count grows by the shell's size minus the merges
-        adj = {v: {b for a, b in pairs if a == v} | {a for a, b in pairs if b == v} for v in range(10)}
-        nbrs = [sorted(adj[v] - {v}) for v in range(10)]
-        d = _ShellSets(10)
-        added: set[int] = set()
-        comps = 0
-        i = 0
-        for width in widths:
-            shell = order[i : i + width]
-            i += width
-            merged = d.add(shell, nbrs)
-            added.update(shell)
-            naive = naive_roots(adj, added)
-            assert merged == comps + len(shell) - len(set(naive.values()))
-            comps = len(set(naive.values()))
-            assert all((d.parent[a] == d.parent[b]) == (naive[a] == naive[b]) for a in added for b in added)
-            assert all(d.parent[z] == -1 for z in range(10) if z not in added)
-            assert all(d.parent[d.parent[z]] == d.parent[z] for z in added)
-            # every root lists its class and knows the class's smallest vertex
-            for r in {d.parent[z] for z in added}:
-                assert sorted(d.members[r]) == sorted(z for z in added if d.parent[z] == r)
-                assert d.low[r] == min(d.members[r])
+def assert_matches_fresh_bfs(g):
+    """kappa, the dense label rows and comp_size of every ball equal the
+    components a fresh BFS finds in its complement.  Rows at power 0 and
+    the labels and sizes of balls with more than two components are zero:
+    the label contract requirement_table and _in_arcs rely on."""
+    dm, rt, _ = tables(g)
+    labels = dense_labels(rt)
+    assert not rt.kappa[:, 0].any() and not labels[:, 0].any() and not rt.comp_size[:, 0].any()
+    for v in range(g.n):
+        for p in range(1, dm.radius + 1):
+            want, count = bfs_component_labels(g, ball_mask(dm, v, p))
+            assert rt.kappa[v, p] == count, (v, p)
+            if count > 2:
+                want = [0] * g.n
+            assert labels[v, p].tolist() == want, (v, p)
+            assert rt.comp_size[v, p].tolist() == [0, want.count(1), want.count(2)], (v, p)
 
 
 @given(st.lists(st.integers(0, 3), max_size=20))
@@ -287,20 +223,35 @@ class TestResidualDecompositions:
 
     def test_labels_match_fresh_bfs(self, label_graphs):
         for g in label_graphs:
-            dm, rt, _ = tables(g)
-            # the label contract requirement_table and _in_arcs rely on: no
-            # label at power 0 or on a ball with more than two components
-            labels = dense_labels(rt)
-            assert not labels[:, 0].any()
-            assert not labels[rt.kappa > 2].any()
-            for v in range(g.n):
-                for p in range(1, dm.radius + 1):
-                    mask = ball_mask(dm, v, p)
-                    want, count = bfs_component_labels(g, mask)
-                    assert rt.kappa[v, p] == count
-                    if count <= 2:
-                        got = labels[v, p].tolist()
-                        assert got == want
+            assert_matches_fresh_bfs(g)
+
+    @given(graphs(max_n=10, min_n=8), st.permutations(range(10)))
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_matches_fresh_bfs(self, g, perm):
+        # random trees plus chords, so shells hold edges between their own
+        # vertices, relabelled so that a class's smallest vertex is not
+        # where the sweep first reaches it.  Eight vertices or more: on
+        # smaller graphs a merge that kept the wrong low almost never
+        # changes a label
+        perm = [x for x in perm if x < g.n]
+        assert_matches_fresh_bfs(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+
+    def test_sweep_merges_into_largest_class(self):
+        # ball (2, 1): center 2, inside {2, 3}.  Its shell {4, 1} activates
+        # x = 4 after the classes A = {0}, B = 5-6-7 and C = 8-...-14 of the
+        # farther shells.  x meets A first (adj[4] is ascending) and joins
+        # it; A + x (2 members) then moves into B (3), and that class (6)
+        # into C (7), so the kept root is C's while the class's smallest
+        # vertex, 0, came from A.  Vertex 1 opens the other class; since
+        # 0 < 1 the merged class is label 1, and 1 alone is label 2.
+        edges = [(2, 3), (3, 4), (3, 1), (4, 0), (4, 5), (4, 8)]
+        edges += [(5, 6), (6, 7)] + [(z, z + 1) for z in range(8, 14)]
+        g = Graph.from_edges(15, edges)
+        _, rt, _ = tables(g)
+        assert rt.kappa[2, 2] == 3 and rt.kappa[2, 1] == 2
+        assert rt.label_row(2, 1).tolist() == [1, 2, 0, 0] + [1] * 11
+        assert rt.comp_size[2, 1].tolist() == [0, 12, 1]
+        assert_matches_fresh_bfs(g)
 
     def test_sizes_partition_complement(self, label_graphs):
         for g in label_graphs:
@@ -350,6 +301,27 @@ class TestRequirements:
                 dag = build_dag(g, dm, rt, rq)
                 got.append((dense_req(rq).tobytes(), dag.arc_src.tobytes(), dag.arc_dst.tobytes(), solve_path(g)))
             assert got[0] == got[1]
+
+    def test_rows_match_naive_frontier_maxima(self):
+        # every row folded naively: for each (ball, label) pair with a
+        # state, the largest dist(w, z) over the frontier vertices z of that
+        # label.  Each graph has rows of several members in which, for some
+        # w, the last member is the unique farthest one, so a row that lost
+        # that member reads differently here.  Trees have none (each
+        # residual component hangs from one frontier vertex), nor do
+        # barbell_graph(40) and wheel_graph(33), whose frontier members tie
+        shapes = [cycle_graph(41)] + [random_connected_graph(40, seed) for seed in (4, 5, 6, 7)]
+        for g in shapes:
+            dm, rt, rq = tables(g)
+            want = np.zeros(rq.row_map.shape + (g.n,), dtype=np.int16)
+            last_decides = 0
+            for v, p, i in zip(*np.nonzero(rq.row_map)):
+                frontier = (dm.dist[v] == p + 1) & (rt.label_row(v, p) == i + 1)
+                d = dm.dist[:, frontier]
+                want[v, p, i] = d.max(axis=1)
+                last_decides += d.shape[1] > 1 and bool((d[:, -1] > d[:, :-1].max(axis=1, initial=0)).any())
+            assert last_decides > 0
+            assert np.array_equal(dense_req(rq), want)
 
     def test_default_zero(self):
         _, rt, rq = tables(path_graph(4))
