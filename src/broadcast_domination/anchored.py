@@ -41,10 +41,10 @@ def _anchored_broadcast(dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
     one-vertex graph has no ball to start from, and its one run gets the
     zero broadcast from _solve_broadcast.
     """
-    powers = np.arange(1, rt.rho + 1)
+    powers = np.arange(rt.rho + 1)
     best = None
     for u in range(rt.n):
-        contains_u = dm.dist[:, u, None] <= powers  # (n, rho): balls containing u
+        contains_u = dm.dist[:, u, None] <= powers  # (n, rho + 1): balls containing u
         bc = _solve_broadcast(dm, rt, req, contains_u)  # in-arcs again per anchor, on purpose
         if best is None or bc.cost < best.cost:
             best = bc

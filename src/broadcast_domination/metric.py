@@ -64,8 +64,13 @@ class ResidualTable:
     label_map[v, p] is the stored row of B(v, p), or 0 for every ball
     without one.  comp_size[v, p, label] counts each of the one or two
     components (label 0 is reserved for the empty side of a state); it is
-    zero on every other ball.  dist is the distance matrix the one-component
-    rows are read from, not a copy.
+    zero on every other ball.  Its (v, p, label) slots are also the state
+    slots: a state's id is the flat index of its (center, power, left
+    label) slot (pathdag._state_id), and the DP reads the flat array as
+    the states' left sizes, with no copy.  Sizes are below
+    n < MAX_VERTICES < 2**15, so int16 holds them at half the bytes of
+    int32.  dist is the distance matrix the one-component rows are read
+    from, not a copy.
     """
 
     n: int
@@ -73,7 +78,7 @@ class ResidualTable:
     kappa: np.ndarray  # (n, rho+1) int16
     comp_label: np.ndarray  # (1 + two-component balls, n) int8
     label_map: np.ndarray  # (n, rho+1) int32
-    comp_size: np.ndarray  # (n, rho+1, 3) int32; index = label
+    comp_size: np.ndarray  # (n, rho+1, 3) int16; index = label; flat index = state id
     dist: np.ndarray  # (n, n) int16, the DistanceMatrix's own array
 
     def label_row(self, v: int, p: int) -> np.ndarray:
@@ -157,7 +162,7 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     rho = dm.radius
     kappa = np.zeros((n, rho + 1), dtype=np.int16)
     label_map = np.zeros((n, rho + 1), dtype=np.int32)
-    comp_size = np.zeros((n, rho + 1, 3), dtype=np.int32)
+    comp_size = np.zeros((n, rho + 1, 3), dtype=np.int16)
     stored = [np.zeros((1, n), dtype=np.int8)]  # row 0: every ball without a row
     nstored = 1
     adj = g.adj
@@ -265,9 +270,10 @@ class RequirementTable:
     in the DP's target order, left size, then state id, so a batch of
     targets reads one contiguous slice of req.  Row r's members are
     req[start[r]:start[r + 1]], ascending; row 0 has none, and row_map
-    sends every pair without a row to it, which reads 0.  pair[r - 1] is
-    row r's (ball, label) position in row_map's flat layout,
-    (v * (rho + 1) + p) * 2 + label - 1.  Each ordered pair (v, z) with
+    sends every pair without a row to it, which reads 0.  target[r - 1] is
+    row r's state id, the flat index of its (v, p, label) slot in
+    ResidualTable.comp_size, 3 (v (rho + 1) + p) + label, so the DP reads
+    its targets from it with no conversion.  Each ordered pair (v, z) with
     2 <= dist(v, z) <= rho + 1 lies on the frontier of one ball only,
     (v, dist - 1), so req holds at most n^2 entries.  Every row has at
     least one member, because each component of G - B(v, p) meets the
@@ -279,8 +285,8 @@ class RequirementTable:
 
     req: np.ndarray  # (members,) int16, the frontier vertices row by row
     start: np.ndarray  # (rows + 2,) int32 row offsets into req
-    row_map: np.ndarray  # (n, rho+1, 2) int32
-    pair: np.ndarray  # (rows,) int32, the (ball, label) of each row
+    row_map: np.ndarray  # (n, rho+1, 2) int32, by [v, p, label - 1]
+    target: np.ndarray  # (rows,) int32, the state id of each row
     dist: np.ndarray  # (n, n) int16, the DistanceMatrix's own array
 
     def rows(self, ids) -> np.ndarray:
@@ -302,9 +308,12 @@ class RequirementTable:
         return int(self.dist[w, self.req[self.start[r] : self.start[r + 1]]].max(initial=0))
 
 
-# which labels of a ball have a requirement row, indexed by min(kappa, 3):
-# the labels l in {1, 2} that are the left label of one of its states
-_HAS_ROW = np.array([[0, 0], [1, 0], [1, 1], [0, 0]], dtype=bool)
+# which left labels (0, 1, 2) of a ball make a state, indexed by
+# min(kappa, 3): an open ball (kappa 0) has one radial state, a
+# one-component ball the orientations (0, 1) and (1, 0), a two-component
+# ball (1, 2) and (2, 1), a more fragmented ball none.  The states with
+# left label 1 or 2 are the ones with a requirement row
+_EXISTS = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 0]], dtype=bool)
 
 # up to this many row-by-vertex cells a fold takes its row maxima with one
 # maximum.reduceat, which makes fewer NumPy calls than the rank loop; every
@@ -345,11 +354,12 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
     """Build the frontier index in O(n^2 log n) time and at most n^2 int16
     entries.
 
-    Rows are numbered first: the (ball, label) pairs with a row, found from
-    kappa, in state id order, then sorted stably by left size, the pair's
-    component size.  A vertex z neighbors B(v, p) exactly when
-    dist(v, z) = p + 1, so every ordered pair (v, z) is a member of one row
-    at most.  Pairs are keyed by their row, for a block of centers at a
+    Rows are numbered first: the non-source states, found from kappa, in
+    state id order, which is comp_size's (v, p, label) slot order, then
+    sorted stably by left size, the slot's component size; each row's
+    position in the sort is then its target's state id.  A vertex z
+    neighbors B(v, p) exactly when dist(v, z) = p + 1, so every ordered
+    pair (v, z) is a member of one row at most.  Pairs are keyed by their row, for a block of centers at a
     time.  A frontier vertex lies outside its ball, so on a one-component
     ball its label is 1 and its row the ball's label-1 row; on a
     two-component ball the stored label picks the label-1 row or the
@@ -367,14 +377,14 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
     """
     n = g.n
     rho = rt.rho
-    has = _HAS_ROW.take(rt.kappa, axis=0, mode="clip")  # (n, rho+1, 2); kappa > 3 reads row 3
+    has = _EXISTS.take(rt.kappa, axis=0, mode="clip")  # (n, rho+1, 3); kappa > 3 reads row 3
+    has[:, :, 0] = False  # the sources, whose left side is empty
     rows = np.count_nonzero(has)
-    # by left size, then (center, power, label), which is state id order;
-    # the pairs without a row sort last, at size n
-    pair = np.where(has, rt.comp_size[:, :, 1:], n).reshape(-1).argsort(kind="stable")[:rows]
-    row_map = np.zeros(has.shape, dtype=np.int32)
-    row_map.reshape(-1)[pair] = np.arange(1, rows + 1, dtype=np.int32)
-    pair = pair.astype(np.int32)
+    # by left size, then slot, which is state id; the slots without a row
+    # sort last, at size n
+    target = np.where(has, rt.comp_size, n).reshape(-1).argsort(kind="stable")[:rows].astype(np.int32)
+    row_map = np.zeros((n, rho + 1, 2), dtype=np.int32)
+    row_map.reshape(-1)[target - target // 3 - 1] = np.arange(1, rows + 1, dtype=np.int32)  # 2 ball + label - 1
     by_ball = row_map.reshape(-1, 2)  # [ball, label - 1]
     lmap = rt.label_map.reshape(-1)
     dist = dm.dist
@@ -411,4 +421,4 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
             at = np.repeat(start[r] - first, count[r])
             at += np.arange(zs.size)
             req[at] = zs
-    return RequirementTable(req=req, start=start, row_map=row_map, pair=pair, dist=dist)
+    return RequirementTable(req=req, start=start, row_map=row_map, target=target, dist=dist)

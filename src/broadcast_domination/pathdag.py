@@ -17,9 +17,14 @@ for dumps, tests and tracing (build_dag).
 States are encoded by (center, power, left label): label 0 is the empty
 side, labels 1 and 2 name residual components of the ball.  With kappa
 components the orientations are fixed by the construction rules, so the
-left label alone pins the state down.  _state_id and _decode are the one
-place that turns such a triple into a dense id and back; ids ascend with
-(center, power, left label).
+left label alone pins the state down.  A state's id is the flat index of
+its (center, power, left label) slot in ResidualTable.comp_size, so one
+layout serves the tables, the requirement rows and the DP: the left sizes
+are comp_size itself, a requirement row names its target by id, and an
+in-arc's source id comes straight from its candidate ball.  The power-0
+slots hold no state.  _state_id and _decode are the one place that turns
+such a triple into an id and back; ids ascend with (center, power, left
+label).
 
 solve_path and the anchored baseline share the table build (_path_tables)
 and the step from DP chain to checked broadcast (_solve_broadcast); the
@@ -38,7 +43,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import DisconnectedGraphError, DistanceMatrix, Graph, GraphTooLargeError, InternalError, apsp
-from .metric import RequirementTable, ResidualTable, _fold, _run_starts, requirement_table, residual_decompositions
+from .metric import (
+    _EXISTS,
+    RequirementTable,
+    ResidualTable,
+    _fold,
+    _run_starts,
+    requirement_table,
+    residual_decompositions,
+)
 from .verify import Broadcast
 
 __all__ = [
@@ -56,11 +69,12 @@ _NO_PRED = (1 << 32) - 1  # low half of a packed DP value: no predecessor
 
 
 def _state_id(v, p, left, rho):
-    """Dense id of the state (center v, power p, left label); ints or arrays.
-    On arrays the steps after the first work in place, so one id array is
-    the only temporary."""
-    sid = v * rho
-    sid += p - 1
+    """Id of the state (center v, power p, left label): the flat index of
+    its slot in ResidualTable.comp_size, 3 (v (rho + 1) + p) + left; ints
+    or arrays.  On arrays the steps after the first work in place, so one
+    id array is the only temporary."""
+    sid = v * (rho + 1)
+    sid += p
     sid *= 3
     sid += left
     return sid
@@ -69,14 +83,14 @@ def _state_id(v, p, left, rho):
 def _decode(sid, rho):
     """(center, power, left label) of a state id; ints or arrays."""
     ball, left = divmod(sid, 3)
-    v, p = divmod(ball, rho)
-    return v, p + 1, left
+    v, p = divmod(ball, rho + 1)
+    return v, p, left
 
 
 def _power(sid, rho):
     """The power alone of a state id (_decode's second part), with fewer
     NumPy calls on arrays."""
-    return sid // 3 % rho + 1
+    return sid // 3 % (rho + 1)
 
 
 @dataclass(frozen=True)
@@ -103,7 +117,7 @@ class StateDag:
     n: int
     rho: int
     exists: np.ndarray  # bool, dense
-    left_size: np.ndarray  # int16, dense
+    left_size: np.ndarray  # int16, dense: the residual table's comp_size, flat
     is_source: np.ndarray  # bool, dense (left label 0)
     is_sink: np.ndarray  # bool, dense (right label 0)
     arc_src: np.ndarray  # int64
@@ -118,23 +132,23 @@ class StateDag:
         return int(self.arc_src.size)
 
 
-# per left label (0, 1, 2), indexed by min(kappa, 3): an open ball (kappa
-# 0) has one radial state, a one-component ball the orientations (0, 1) and
-# (1, 0), a two-component ball (1, 2) and (2, 1), a more fragmented ball none
-_EXISTS = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 0]], dtype=bool)
+# per left label (0, 1, 2), indexed by min(kappa, 3) like metric._EXISTS:
+# the radial and (0, 1) states are sources, the radial and (1, 0) ones sinks
 _IS_SOURCE = np.array([[1, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]], dtype=bool)
 _IS_SINK = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=bool)
 
 
 def _dense_tables(rt: ResidualTable):
     """exists, left_size, is_source, is_sink, flat and indexed by state id:
-    the (n, rho, 3) layout of (center, power - 1, left label).  left_size
-    is the component size of the left label, 0 for the empty side, which
-    is comp_size's zero label-0 column."""
-    k = rt.kappa[:, 1:]  # (n, rho), column j = power j+1; take clips kappa > 3 to row 3
+    comp_size's (n, rho + 1, 3) layout of (center, power, left label).
+    left_size is comp_size itself, flattened with no copy, so no caller
+    writes it: the component size of the left label, 0 for the empty side,
+    which is comp_size's zero label-0 column.  The power-0 slots hold no state: the state table
+    is read with kappa there replaced by 3, the row that mode="clip" also
+    gives every kappa above 3."""
+    k = np.where(np.arange(rt.rho + 1) > 0, rt.kappa, 3)  # power 0 reads row 3
     exists, is_source, is_sink = (t.take(k, axis=0, mode="clip").reshape(-1) for t in (_EXISTS, _IS_SOURCE, _IS_SINK))
-    left_size = rt.comp_size[:, 1:].astype(np.int16).reshape(-1)  # sizes < n < MAX_VERTICES < 2**15
-    return exists, left_size, is_source, is_sink
+    return exists, rt.comp_size.reshape(-1), is_source, is_sink
 
 
 def enumerate_states(rt: ResidualTable) -> list[State]:
@@ -211,15 +225,19 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     dist(v, w) = p + q + 1 > p, so on a one-component ball w's label is 1
     and the predecessor's left label 0; on a two-component ball the stored
     row gives w's label rlab and the left label is 3 - rlab, the label not
-    facing w.  Every source is checked to have a smaller left size than its
-    target, so targets walked in order only read finished sources.
+    facing w.  The candidate's ball index v (rho + 1) + p, which reads
+    kappa and the label map, then gives the source id as 3 * ball + left
+    label, with no (center, power) pair rebuilt.  Every source is checked
+    to have a smaller left size than its target, so targets walked in
+    order only read finished sources.
 
     The three tests that read only tau's own rows (v in the left
     component, tau's facing frontier covered: its requirement row at v is
     <= p, and 0 <= p <= rho) run densely on the batch's target x vertex
     block, so only the candidates that pass them reach the per-candidate
     gathers.  Targets are the requirement table's rows, in the order it
-    numbers them, so a batch folds its targets' requirement rows from one
+    numbers them, read as state ids from RequirementTable.target with no
+    conversion, so a batch folds its targets' requirement rows from one
     contiguous slice of the frontier index (metric._fold), just before the
     dense test; no row outlives its batch.  The dense left test compares
     each target's stored label row with l; a one-component target reads
@@ -253,12 +271,7 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     # balls with oriented states, kappa 1 or 2: those with a left-label-1
     # state (kappa is 0 at power 0)
     oriented = _EXISTS[:, 1].take(rt.kappa.reshape(-1), mode="clip")
-    # the targets in row order, as int32 ids like the row pairs (below
-    # 3 n rho < 2**31); the row of (ball, label) position b * 2 + l - 1 is
-    # the state (b, l)
-    ball, label = np.divmod(req.pair, 2)
-    targets = _state_id(*np.divmod(ball, rho + 1), label + 1, rho)
-    del ball, label
+    targets = req.target  # int32 state ids in row order, below 3 n (rho + 1) < 2**31
     start = req.start
     dense_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + 2 * n * (targets.size + 1)
     batch = np.add(left_size[targets], n // 8, dtype=np.int64).cumsum()
@@ -284,26 +297,24 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
             cell = np.flatnonzero(ok)
             del ok
             p = p.reshape(-1)[cell]
-            pos, v = np.divmod(cell, n)
-            del cell
-            vp = v * (rho + 1)
+            pos, vp = np.divmod(cell, n)
+            vp *= rho + 1
             vp += p  # the candidate ball (v, p)
+            del cell, p
             m = oriented[vp]
             pos = pos[m]
-            v = v[m]
-            p = p[m]
             vp = vp[m]
             del m
             at = lmap[vp]  # the stored row of the candidate ball
-            del vp
             at = np.multiply(at, n, dtype=np.int64)
             at += w[pos]
             dst = taus[pos]
             del pos
             rlab = labels[at]  # 0 from the zero row on a one-component ball
             del at
-            src = _state_id(v, p, (3 - rlab) * (rlab != 0), rho)  # the other label, or 0
-            del v, p, rlab
+            src = vp * 3  # the candidate ball's first slot
+            src += (3 - rlab) * (rlab != 0)  # the other label, or 0
+            del vp, rlab
             # acyclicity witness: the left side strictly grows along every arc
             reach = left_size[src]
             if (reach >= left_size[dst]).any():
@@ -325,14 +336,6 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
         srcs.append(src)
         dsts.append(dst)
     return StateDag(g.n, rt.rho, *states, arc_src=np.concatenate(srcs), arc_dst=np.concatenate(dsts))
-
-
-def _allowed_sources(is_source: np.ndarray, start: np.ndarray | None, rho: int) -> np.ndarray:
-    """is_source, narrowed to the balls marked in start when one is given."""
-    if start is None:
-        return is_source
-    v, p, _ = _decode(np.arange(is_source.size), rho)
-    return is_source & start[v, p - 1]
 
 
 def _relax(best, left_size, rho, dst, src, reach) -> None:
@@ -368,10 +371,11 @@ def _relax(best, left_size, rho, dst, src, reach) -> None:
 def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, start: np.ndarray | None = None):
     """Shortest source-to-sink chain by a pull DP in left-size order.
 
-    start, if given, is an (n, rho) bool mask, start[v, p - 1] true for
-    the balls (v, p) whose source state may begin a chain.  Returns (cost,
-    chain of state ids from leftmost to rightmost), or None when no sink is
-    reachable from an allowed source.  Ties are broken toward the smaller
+    start, if given, is an (n, rho + 1) bool mask, start[v, p] true for
+    the balls (v, p) whose source state may begin a chain; each ball's
+    three state slots read its entry.  Returns (cost, chain of state ids
+    from leftmost to rightmost), or None when no sink is reachable from an
+    allowed source.  Ties are broken toward the smaller
     (center, power, left) triple, which is the state id order.
 
     Each state keeps one int64, (cost << 32) + predecessor id.  Each in-arc
@@ -385,14 +389,14 @@ def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, 
     predecessor's power and orientation, so each predecessor center owns
     exactly one candidate id, and ids ascend with the center.  Unreached
     states cost at least _INF.  Both halves fit: ids are below
-    3 * n * rho < 2**31, and costs below _INF + n * rho < 2**31, because
-    n < MAX_VERTICES and rho <= n / 2.  The id is added, not or-ed in,
+    3 * n * (rho + 1) < 2**31, and costs below _INF + n * rho < 2**31,
+    because n < MAX_VERTICES and rho <= n / 2.  The id is added, not or-ed in,
     because NumPy's int64 bitwise_or loop is code no other solve step runs,
     and loading it costs about 128 KB resident.
     """
     states = _dense_tables(rt)
     left_size, is_source, is_sink = states[1:]
-    sources = _allowed_sources(is_source, start, rt.rho)
+    sources = is_source if start is None else is_source & start.reshape(-1).repeat(3)
     arcs = _in_arcs(dm, rt, req, states)
     best = np.full(left_size.size, _INF << 32 | _NO_PRED, dtype=np.int64)
     ids = np.flatnonzero(sources)
@@ -493,7 +497,14 @@ _DOT_TAGS = ("", " [source]", " [sink]", " [source/sink]")
 def _dot_chunks(dag: StateDag):
     """The DOT text of dag_to_dot, piece by piece: whole lines, each ending
     in a newline, states in id order, then arcs by source ball and target
-    id.  cli writes the pieces to the dump file as they come."""
+    id.  cli writes the pieces to the dump file as they come.
+
+    This is the one place that names nodes.  The name of state (v, p, l)
+    is s followed by 3 (v rho + p - 1) + l, computed from the decoded
+    triple: the states numbered densely over the powers 1 to rho, without
+    the power-0 slots of the state ids.  Names ascend with the ids, so
+    both orders are the same."""
+    name = lambda v, p, left: 3 * (v * dag.rho + p - 1) + left
     yield "digraph states {\n"
     ids = np.flatnonzero(dag.exists)
     for lo in range(0, ids.size, _DOT_CHUNK_LINES):
@@ -504,7 +515,7 @@ def _dot_chunks(dag: StateDag):
         # one of the orientation pair, (0, 1) or (1, 2)/(2, 1)
         right = np.where(sink, 0, np.where(left == 0, 1, 3 - left))
         tag = dag.is_source[sid] + 2 * sink
-        cols = (a.tolist() for a in (sid, v, p, left, right, tag))
+        cols = (a.tolist() for a in (name(v, p, left), v, p, left, right, tag))
         yield "".join(
             f'  s{s} [label="({c},{q},{a},{b}) w={q}{_DOT_TAGS[t]}"];\n' for s, c, q, a, b, t in zip(*cols)
         )
@@ -517,7 +528,8 @@ def _dot_chunks(dag: StateDag):
     del key
     for lo in range(0, order.size, _DOT_CHUNK_LINES):
         part = order[lo : lo + _DOT_CHUNK_LINES]
-        yield "".join(f"  s{a} -> s{b};\n" for a, b in zip(dag.arc_src[part].tolist(), dag.arc_dst[part].tolist()))
+        src, dst = (name(*_decode(a[part], dag.rho)).tolist() for a in (dag.arc_src, dag.arc_dst))
+        yield "".join(f"  s{a} -> s{b};\n" for a, b in zip(src, dst))
     yield "}\n"
 
 

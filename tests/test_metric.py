@@ -156,10 +156,10 @@ class TestResidualDecompositions:
 
     def test_tables_pinned(self):
         # sha256 of the bytes of kappa, the dense int16 label rows, comp_size
-        # and the dense int16 requirement rows, both rebuilt through the
-        # accessors in the layout the digests were taken in: any rewrite of
-        # the residual or requirement layer must reproduce the tables byte
-        # for byte
+        # read as int32 and the dense int16 requirement rows, the label and
+        # requirement rows rebuilt through the accessors, all in the layout
+        # the digests were taken in: any rewrite of the residual or
+        # requirement layer must reproduce the tables byte for byte
         pinned = [
             (
                 "path-96",
@@ -217,7 +217,7 @@ class TestResidualDecompositions:
             _, rt, rq = tables(g)
             got = [
                 hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-                for a in (rt.kappa, dense_labels(rt), rt.comp_size, dense_req(rq))
+                for a in (rt.kappa, dense_labels(rt), rt.comp_size.astype(np.int32), dense_req(rq))
             ]
             assert got == want, name
 
@@ -373,7 +373,7 @@ class TestPreconditions:
             (rq.req, (0,)),
             (rq.start, (2,)),
             (rq.row_map, (1, 1, 2)),
-            (rq.pair, (0,)),
+            (rq.target, (0,)),
         ]
         for a, shape in arrays:
             assert a.shape == shape and not a.any(), shape

@@ -48,8 +48,8 @@ from conftest import (
 
 
 def balls_containing(dm, rho, u):
-    """Anchored starts: start[v, p - 1] iff the ball (v, p) contains u."""
-    return dm.dist[:, u][:, None] <= np.arange(1, rho + 1)[None, :]
+    """Anchored starts: start[v, p] iff the ball (v, p) contains u."""
+    return dm.dist[:, u][:, None] <= np.arange(rho + 1)[None, :]
 
 
 def allowed_sources(dag, start):
@@ -58,7 +58,7 @@ def allowed_sources(dag, start):
     if start is not None:
         for sid in np.flatnonzero(sources).tolist():
             v, p, _ = _decode(sid, dag.rho)
-            sources[sid] = start[v, p - 1]
+            sources[sid] = start[v, p]
     return sources
 
 
@@ -125,6 +125,31 @@ class TestEnumerateStates:
                     expect += 1 if k == 0 else (2 if k <= 2 else 0)
             assert len(states) == expect
             assert len(states) <= 2 * g.n * dm.radius + g.n
+
+
+class TestStateLayout:
+    def test_state_ids_are_comp_size_slots(self, small_random_graphs):
+        # one layout for the tables, the requirement rows and the DP: a
+        # state's id is the flat index of its (center, power, left label)
+        # slot in comp_size, the DP's left sizes are comp_size itself, and
+        # every requirement row names a non-source state, in left-size order
+        shapes = [path_graph(24), cycle_graph(25), barbell_graph(20), random_tree(60, 2)]
+        for g in shapes + small_random_graphs:
+            _, rt, rq = tables(g)
+            v, p, left = np.indices(rt.comp_size.shape).reshape(3, -1)
+            sid = _state_id(v, p, left, rt.rho)
+            assert (sid == np.ravel_multi_index((v, p, left), rt.comp_size.shape)).all()
+            assert all((a == b).all() for a, b in zip(_decode(sid, rt.rho), (v, p, left)))
+            assert _decode(_state_id(1, rt.rho, 2, rt.rho), rt.rho) == (1, rt.rho, 2)
+            exists, left_size, is_source, _ = pathdag._dense_tables(rt)
+            assert np.shares_memory(left_size, rt.comp_size)
+            states = {_state_id(s.center, s.power, s.left, rt.rho): s.left_size for s in enumerate_states(rt)}
+            assert np.flatnonzero(exists).tolist() == sorted(states)
+            assert all(left_size[i] == size for i, size in states.items())
+            t = rq.target
+            assert (_decode(t, rt.rho)[2] >= 1).all() and exists[t].all()
+            assert sorted(t.tolist()) == np.flatnonzero(exists & ~is_source).tolist()
+            assert (np.diff(left_size[t]) >= 0).all()
 
 
 class TestArcTest:
@@ -376,7 +401,7 @@ class TestSolvePath:
             assert pathdag._table_bytes(g.n, dm.radius) == 3 * cells
             assert rt.comp_label.nbytes <= cells
             assert rq.req.size <= g.n * g.n
-            index = rq.req.nbytes + rq.start.nbytes + rq.pair.nbytes
+            index = rq.req.nbytes + rq.start.nbytes + rq.target.nbytes
             assert index + rt.label_map.nbytes + rq.row_map.nbytes <= 2 * cells
         assert pathdag._table_bytes(3000, 1500) == 40_527_000_000
 
