@@ -5,17 +5,17 @@ the rest of the graph falls into once the ball is removed, which piece each
 outside vertex belongs to, and, for every other center w, how large a power
 a ball at w needs before it swallows the ball's frontier into a given
 piece.  All of it is built for every (center, power) pair in one cubic
-sweep.  Only the rows a state can read are stored: a ball with one
-component labels every outside vertex 1, so its label row is dist > p and
-is never stored; a two-component ball keeps one int8 label row; balls with
-no component or more than two keep only their component count.  A row map
-sends every ball to its label row, and every ball without one to a shared
-zero row 0.  Per center the Python work is the shell-by-shell disjoint-set
-build, one scan of each vertex's neighbors in which it joins the class of
-the first active one and merges any further class it meets, and, per
-two-component ball, one copy of the label-2 class into an int16 buffer;
-the stored label rows are then written by array passes over a block of
-centers at a time.
+sweep.  The components are stored as intervals, not as label rows.  Per
+center v the sweep only adds vertices and merges classes as the power
+falls, so the components of all powers form a laminar family, and one
+vertex order per center puts each of them in one contiguous interval.  A
+table of n^2 int16 places holds every center's order, and every (center,
+power, label) slot the start of its interval, beside its size: O(n^2 rho)
+int16 entries in all, with no row of n per ball.  Per center the Python
+work is the shell-by-shell disjoint-set build, one scan of each vertex's
+neighbors in which it joins the class of the first active one and merges
+any further class it meets, and O(1) per ball; the places and the starts
+are written by one array assignment and one gather per label at the end.
 
 The requirements are not stored as rows.  Each (ball, label) pair with a
 state keeps only its frontier vertices, in an index of at most n^2 int16
@@ -52,41 +52,42 @@ class ResidualTable:
     kappa[v, p] counts the components of the graph minus B(v, p).  The
     dense label row of B(v, p), label_row(v, p), gives every vertex z its
     1-based component label, or 0 inside the ball; labels follow
-    first-touch order over ascending vertex index.  Rows are stored only
-    for two-component balls; one-component rows are dist > p.  So a label
-    is nonzero exactly at the vertices outside a ball of power p >= 1 with
-    one or two components: the p = 0 rows and the rows of balls with
-    kappa 0 or more than two components are all zero.  requirement_table
-    and pathdag._in_arcs gate on kappa, then read labels through label_map
-    without a branch: a one-component ball reads 0 from the zero row.
+    first-touch order over ascending vertex index.  Only balls of power
+    p >= 1 with one or two components have labels: the p = 0 rows and the
+    rows of balls with kappa 0 or more than two components are all zero.
 
-    comp_label holds the stored rows, int8, with row 0 all zero;
-    label_map[v, p] is the stored row of B(v, p), or 0 for every ball
-    without one.  comp_size[v, p, label] counts each of the one or two
-    components (label 0 is reserved for the empty side of a state); it is
-    zero on every other ball.  Its (v, p, label) slots are also the state
-    slots: a state's id is the flat index of its (center, power, left
-    label) slot (pathdag._state_id), and the DP reads the flat array as
-    the states' left sizes, with no copy.  Sizes are below
-    n < MAX_VERTICES < 2**15, so int16 holds them at half the bytes of
-    int32.  dist is the distance matrix the one-component rows are read
-    from, not a copy.
+    comp_size[v, p, label] counts each of the one or two components
+    (label 0 is reserved for the empty side of a state); it is zero on
+    every other ball.  Its (v, p, label) slots are also the state slots: a
+    state's id is the flat index of its (center, power, left label) slot
+    (pathdag._state_id), and the DP reads the flat array as the states'
+    left sizes, with no copy.  comp_label[v, z] is z's place in center v's
+    vertex order, and comp_first, in the same slot layout as comp_size,
+    the place where each slot's component starts: z lies in the component
+    of slot s = (v, p, label) iff
+    comp_first[s] <= comp_label[v, z] < comp_first[s] + comp_size[s],
+    one subtraction and one unsigned compare.  A slot without a component
+    has size 0 and holds no vertex, so kappa 0, kappa above 2 and power 0
+    read alike, with no branch.  Places, starts and sizes are below
+    n < MAX_VERTICES < 2**15, so int16 holds them.  dist is the
+    DistanceMatrix's own array, not a copy.
     """
 
     n: int
     rho: int
     kappa: np.ndarray  # (n, rho+1) int16
-    comp_label: np.ndarray  # (1 + two-component balls, n) int8
-    label_map: np.ndarray  # (n, rho+1) int32
+    comp_label: np.ndarray  # (n, n) int16: [v, z] is z's place in v's order
+    comp_first: np.ndarray  # (n, rho+1, 3) int16; where each slot's component starts
     comp_size: np.ndarray  # (n, rho+1, 3) int16; index = label; flat index = state id
     dist: np.ndarray  # (n, n) int16, the DistanceMatrix's own array
 
     def label_row(self, v: int, p: int) -> np.ndarray:
-        """Dense int8 label row of B(v, p): a view of the stored row, or
-        dist[v] > p when the ball has one component."""
-        if self.kappa[v, p] == 1:
-            return (self.dist[v] > p).view(np.int8)
-        return self.comp_label[self.label_map[v, p]]
+        """Dense int8 label row of B(v, p), rebuilt from the two intervals."""
+        at = self.comp_label[v]
+        first, size = self.comp_first[v, p].tolist(), self.comp_size[v, p].tolist()
+        row = ((at - first[1]).view(np.uint16) < size[1]).view(np.int8)
+        row += 2 * ((at - first[2]).view(np.uint16) < size[2])
+        return row
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
@@ -98,12 +99,6 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     new[:1] = True
     np.not_equal(a[1:], a[:-1], out=new[1:])
     return new.nonzero()[0]
-
-
-# the label pass writes the rows of as many centers as span at most this
-# many cells (at least one center), so its temporaries stay small beside
-# the label table and do not grow the layer's peak
-_LABEL_CELLS = 1 << 16
 
 
 def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
@@ -133,124 +128,135 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     smaller class bounds the merges by O(n log n) per center, and the scans
     take O(m).  Most activated vertices meet one class only (on paths and
     cycles all but the one or two that open a class) and join it with one
-    append and no new list.  The shell build, the scans, the component
-    counts and sizes, kept in Python lists, and one copy per two-component
-    ball are the only per-center Python work.  The tables read only the partition after each
-    shell, the roots and the lows, so which root a merge keeps does not
-    show in them.
+    append and no new list.  Every root opened its class, and a list only
+    ever grows at its end, so each class's list starts with its root.  The
+    tables read only the partition after each shell, the lows and the
+    roots' places in the final order (below), which do not depend on which
+    root a merge keeps.
 
-    A two-component ball needs only one of its classes.  Labels follow
-    first touch over ascending vertex index, so label 1 is the class whose
-    smallest member (the disjoint set's low) is smaller, and every other
-    outside vertex has label 2.  Both roots are found on the shell S_{p+1}
-    just activated: a shortest path from v to an outside vertex z meets
-    S_{p+1}, and from there on its distances from v exceed p, so it stays
-    outside the ball and within z's class; hence both classes meet S_{p+1}.
-    The label-2 class is copied into an int16 buffer in C (array.fromlist),
-    not converted row by row.
+    Labels follow first touch over ascending vertex index, so on a
+    two-component ball label 1 is the class whose smallest member (the
+    disjoint set's low) is smaller.  Both roots are found on the shell
+    S_{p+1} just activated: a shortest path from v to an outside vertex z
+    meets S_{p+1}, and from there on its distances from v exceed p, so it
+    stays outside the ball and within z's class; hence both classes meet
+    S_{p+1}.  On a one-component ball the class is that of x, the shell's
+    last vertex.
 
-    After the sweep of a block of centers, whose rows span at most
-    _LABEL_CELLS cells, array passes write that block's stored rows, one
-    per two-component ball: 1 where dist(v, z) > p, then 2 at the copied
-    members.  The blocks' rows are joined below the zero row at the end,
-    when their number is known.  The one-vertex graph has radius 0 and no
-    ball to remove: its tables are single zero rows.
+    Center v's vertex order is its member lists' own order.  A join appends
+    to a list and a merge concatenates two, so each class's list, at every
+    power, stays one contiguous block of every later list, starting at its
+    root.  At the end the surviving classes are concatenated, found from
+    the list of roots ever opened without a scan of all n roots, then the
+    vertices never activated, at distance 0 and 1.  So a ball's slot keeps
+    only its class's root and size, O(1) per ball, and the root's place in
+    the order is the slot's start.  Label 1's root and size are kept in a
+    row per center, label 2's only for the two-component balls.  The
+    orders, one int16 buffer over all centers, are inverted into comp_label
+    by one array assignment, and each label's starts gathered from it at
+    once.  The one-vertex graph has radius 0 and no ball to remove: its
+    tables are single zero rows.
     """
     n = g.n
     if not dm.connected:
         raise DisconnectedGraphError("residual decompositions require a connected graph")
     rho = dm.radius
-    kappa = np.zeros((n, rho + 1), dtype=np.int16)
-    label_map = np.zeros((n, rho + 1), dtype=np.int32)
-    comp_size = np.zeros((n, rho + 1, 3), dtype=np.int16)
-    stored = [np.zeros((1, n), dtype=np.int8)]  # row 0: every ball without a row
-    nstored = 1
+    # per center and power: kappa, label 1's size and root
+    kappa, size1, first1 = array("h"), array("h"), array("h")
+    order = array("h")  # the centers' vertex orders, one after another
+    # per two-component ball: its index v (rho + 1) + p, label 2's size and root
+    twos, size2, first2 = array("i"), array("h"), array("h")
     adj = g.adj
-    dist = dm.dist
-    eccs = dm.ecc.tolist()
-    block = max(1, _LABEL_CELLS // ((rho + 1) * n))
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        kappa_rows, size_rows = [], []
-        two_rows: list[int] = []  # (v - lo) * (rho + 1) + p of each two-component ball
-        lens: list[int] = []
-        second = array("h")  # their label-2 classes, concatenated
-        for v, (dr, ecc_v) in enumerate(zip(dist[lo:hi].tolist(), eccs[lo:hi]), lo):
-            shells: list[list[int]] = [[] for _ in range(ecc_v + 1)]
-            for z, d in enumerate(dr):
-                shells[d].append(z)
-            parent = [-1] * n  # root of each active vertex's class; -1 inside the ball
-            members: list[list[int] | None] = [None] * n  # by root: its class
-            low = [0] * n  # by root: its class's smallest vertex
-            ncomp = outside = 0
-            kv = [0] * (rho + 1)
-            sv = [0] * (rho + 1)  # size of label 1
-            for p in range(ecc_v - 1, 0, -1):
-                shell = shells[p + 1]
-                outside += len(shell)
-                for x in shell:
-                    rx = -1
-                    for y in adj[x]:
-                        ry = parent[y]
-                        if ry < 0 or ry == rx:
-                            continue
-                        if rx < 0:  # the first class x meets: x joins it
-                            rx = ry
-                            parent[x] = rx
-                            members[rx].append(x)
-                            if x < low[rx]:
-                                low[rx] = x
-                            continue
-                        mx, my = members[rx], members[ry]
-                        if len(mx) < len(my) or (len(mx) == len(my) and ry < rx):
-                            rx, ry, mx, my = ry, rx, my, mx
-                        for z in my:
-                            parent[z] = rx
-                        mx.extend(my)
-                        members[ry] = None
-                        if low[ry] < low[rx]:
-                            low[rx] = low[ry]
-                        ncomp -= 1
-                    if rx < 0:  # no active neighbor: x opens a class
-                        parent[x] = x
-                        members[x] = [x]
-                        low[x] = x
-                        ncomp += 1
-                if p <= rho:
-                    kv[p] = ncomp
-                    if ncomp == 1:
-                        sv[p] = outside
-                    elif ncomp == 2:
-                        r1 = parent[shell[0]]
-                        for x in shell:
-                            r2 = parent[x]
-                            if r2 != r1:
-                                break
-                        m = members[r2] if low[r2] > low[r1] else members[r1]
-                        two_rows.append((v - lo) * (rho + 1) + p)
-                        lens.append(len(m))
-                        second.fromlist(m)
-                        sv[p] = outside - len(m)
-            kappa_rows.append(kv)
-            size_rows.append(sv)
-        del shells, parent, members, low  # the block's sweep state
-        kappa[lo:hi] = kappa_rows
-        comp_size[lo:hi, :, 1] = size_rows
-        if two_rows:
-            rows, k2 = np.array(two_rows), np.array(lens)
-            vs, ps = np.divmod(rows, rho + 1)
-            lab = (dist[vs + lo] > ps.astype(np.int16)[:, None]).view(np.int8)
-            at = np.repeat(np.arange(0, lab.size, n), k2)  # flat cell of each copied member
-            at += np.frombuffer(second, dtype=np.int16)
-            lab.reshape(-1)[at] = 2
-            stored.append(lab)
-            label_map[lo:hi].reshape(-1)[rows] = np.arange(nstored, nstored + rows.size)
-            nstored += rows.size
-            comp_size[lo:hi].reshape(-1, 3)[rows, 2] = k2
-    comp_label = np.concatenate(stored) if len(stored) > 1 else stored[0]
-    del stored
+    for v, ecc_v in enumerate(dm.ecc.tolist()):
+        shells: list[list[int]] = [[] for _ in range(ecc_v + 1)]
+        for z, d in enumerate(dm.dist[v].tolist()):
+            shells[d].append(z)
+        parent = [-1] * n  # root of each active vertex's class; -1 inside the ball
+        members: list[list[int] | None] = [None] * n  # by root: its class
+        low = [0] * n  # by root: its class's smallest vertex
+        opened = []  # every root that opened a class
+        ncomp = outside = 0
+        kv, s1, f1 = [0] * (rho + 1), [0] * (rho + 1), [0] * (rho + 1)
+        base = v * (rho + 1)
+        t2: list[int] = []
+        s2: list[int] = []
+        f2: list[int] = []
+        for p in range(ecc_v - 1, 0, -1):
+            shell = shells[p + 1]
+            outside += len(shell)
+            for x in shell:
+                rx = -1
+                for y in adj[x]:
+                    ry = parent[y]
+                    if ry < 0 or ry == rx:
+                        continue
+                    if rx < 0:  # the first class x meets: x joins it
+                        rx = ry
+                        parent[x] = rx
+                        members[rx].append(x)
+                        if x < low[rx]:
+                            low[rx] = x
+                        continue
+                    mx, my = members[rx], members[ry]
+                    if len(mx) < len(my) or (len(mx) == len(my) and ry < rx):
+                        rx, ry, mx, my = ry, rx, my, mx
+                    for z in my:
+                        parent[z] = rx
+                    mx.extend(my)
+                    members[ry] = None
+                    if low[ry] < low[rx]:
+                        low[rx] = low[ry]
+                    ncomp -= 1
+                if rx < 0:  # no active neighbor: x opens a class
+                    parent[x] = x
+                    members[x] = [x]
+                    low[x] = x
+                    opened.append(x)
+                    ncomp += 1
+            if p <= rho:
+                kv[p] = ncomp
+                if ncomp == 1:  # x, the shell's last vertex, is in the class
+                    s1[p] = outside
+                    f1[p] = parent[x]
+                elif ncomp == 2:
+                    r1 = parent[shell[0]]
+                    for x in shell:
+                        r2 = parent[x]
+                        if r2 != r1:
+                            break
+                    if low[r2] < low[r1]:
+                        r1, r2 = r2, r1
+                    m2 = len(members[r2])
+                    s1[p], f1[p] = outside - m2, r1
+                    t2.append(base + p)
+                    s2.append(m2)
+                    f2.append(r2)
+        for r in opened:
+            if members[r] is not None:
+                order.fromlist(members[r])
+        for shell in shells[:2]:  # never activated
+            order.fromlist(shell)
+        for buf, row in zip((kappa, size1, first1, twos, size2, first2), (kv, s1, f1, t2, s2, f2)):
+            buf.fromlist(row)
+    comp_label = np.empty((n, n), dtype=np.int16)
+    rows = np.arange(n)[:, None]
+    comp_label[rows, np.frombuffer(order, dtype=np.int16).reshape(n, n)] = np.arange(n, dtype=np.int16)
+    del order
+    comp_size = np.zeros((n, rho + 1, 3), dtype=np.int16)
+    comp_first = np.zeros((n, rho + 1, 3), dtype=np.int16)
+    comp_size[:, :, 1] = np.frombuffer(size1, dtype=np.int16).reshape(n, rho + 1)
+    comp_first[:, :, 1] = comp_label[rows, np.frombuffer(first1, dtype=np.int16).reshape(n, rho + 1)]
+    at = np.frombuffer(twos, dtype=np.int32)
+    comp_size.reshape(-1, 3)[at, 2] = np.frombuffer(size2, dtype=np.int16)
+    comp_first.reshape(-1, 3)[at, 2] = comp_label[at // (rho + 1), np.frombuffer(first2, dtype=np.int16)]
     return ResidualTable(
-        n=n, rho=rho, kappa=kappa, comp_label=comp_label, label_map=label_map, comp_size=comp_size, dist=dist
+        n=n,
+        rho=rho,
+        kappa=np.frombuffer(kappa, dtype=np.int16).reshape(n, rho + 1),
+        comp_label=comp_label,
+        comp_first=comp_first,
+        comp_size=comp_size,
+        dist=dm.dist,
     )
 
 
@@ -359,17 +365,15 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
     sorted stably by left size, the slot's component size; each row's
     position in the sort is then its target's state id.  A vertex z
     neighbors B(v, p) exactly when dist(v, z) = p + 1, so every ordered
-    pair (v, z) is a member of one row at most.  Pairs are keyed by their row, for a block of centers at a
-    time.  A frontier vertex lies outside its ball, so on a one-component
-    ball its label is 1 and its row the ball's label-1 row; on a
-    two-component ball the stored label picks the label-1 row or the
-    label-2 one.  The label is gathered through the label map for every
-    pair, with no branch: a ball without a stored row reads the zero row,
-    which picks label 1, and a ball without requirement rows maps to row 0,
-    which then drops the pair.
+    pair (v, z) is a member of one row at most.  Pairs are keyed by their
+    row, for a block of centers at a time.  A frontier vertex lies outside
+    its ball, so it picks the ball's label-2 row when its place lies in
+    label 2's interval and the label-1 row otherwise, with no branch: a
+    one-component ball's label 2 is empty, and a ball without requirement
+    rows maps to row 0, which then drops the pair.
 
     A center's pairs cost about 64 bytes per vertex in index arrays, and a
-    block of centers at most about a quarter of the label and component
+    block of centers at most about a quarter of the order and component
     tables, or 384 KiB: small graphs take one block, and large ones stay
     within a fraction of the tables.  A block's pairs, sorted stably by row,
     hold every row of its centers; they are then written to their rows'
@@ -385,8 +389,7 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
     target = np.where(has, rt.comp_size, n).reshape(-1).argsort(kind="stable")[:rows].astype(np.int32)
     row_map = np.zeros((n, rho + 1, 2), dtype=np.int32)
     row_map.reshape(-1)[target - target // 3 - 1] = np.arange(1, rows + 1, dtype=np.int32)  # 2 ball + label - 1
-    by_ball = row_map.reshape(-1, 2)  # [ball, label - 1]
-    lmap = rt.label_map.reshape(-1)
+    first2, size2 = rt.comp_first.reshape(-1, 3)[:, 2], rt.comp_size.reshape(-1, 3)[:, 2].view(np.uint16)
     dist = dm.dist
     tables = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes
     block = max(1, max(tables // 4, 3 << 17) // (64 * n))
@@ -397,9 +400,15 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
         ball = vs * (rho + 1)
         ball += lo * (rho + 1) + 1
         ball += q_z[vs, zs]
+        at = rt.comp_label[lo : lo + block][vs, zs]  # each pair's place in its center's order
         del vs, q_z
-        key = by_ball[ball, rt.comp_label[lmap[ball], zs] >> 1]  # label 2 picks the second row
-        del ball
+        at -= first2[ball]
+        side = at.view(np.uint16) < size2[ball]  # label 2 picks the second row
+        del at
+        ball *= 2
+        ball += side
+        key = row_map.reshape(-1)[ball]  # [ball, label - 1]
+        del ball, side
         m = key > 0  # 0 exactly on the balls without rows
         zs, key = zs[m].astype(np.int16), key[m]
         del m

@@ -180,8 +180,9 @@ def arc_test(sigma: State, tau: State, dm: DistanceMatrix, rt: ResidualTable, re
     within [1, rho]; each center sits in the component the other state has
     facing it; and both exposed frontiers are covered, via two requirement
     lookups.  This is the two-sided scalar reference; _in_arcs makes only
-    the second lookup, because contact, the two label tests and the second
-    lookup imply the first.
+    the facing-label test and the second lookup: contact and the second
+    lookup imply tau's label test (proof in _in_arcs), and contact, the two
+    label tests and the second lookup imply the first.
 
     Proof.  Let sigma = (v, p), tau = (w, q) and d(v, w) = p + q + 1.  R is
     the component of G - B(v, p) that holds w; L is tau's left component,
@@ -223,34 +224,37 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     arc_test).  The ball (v, p) has oriented states exactly when
     1 <= p <= rho and its kappa is 1 or 2, and w lies outside it, as
     dist(v, w) = p + q + 1 > p, so on a one-component ball w's label is 1
-    and the predecessor's left label 0; on a two-component ball the stored
-    row gives w's label rlab and the left label is 3 - rlab, the label not
-    facing w.  The candidate's ball index v (rho + 1) + p, which reads
-    kappa and the label map, then gives the source id as 3 * ball + left
+    and the predecessor's left label 0; on a two-component ball the left
+    label is the one not facing w: 1 when w lies in label 2's interval, 2
+    otherwise.  The candidate's ball index v (rho + 1) + p, which reads
+    kappa and label 2's interval, then gives the source id as 3 * ball + left
     label, with no (center, power) pair rebuilt.  Every source is checked
     to have a smaller left size than its target, so targets walked in
     order only read finished sources.
 
-    The three tests that read only tau's own rows (v in the left
-    component, tau's facing frontier covered: its requirement row at v is
-    <= p, and 0 <= p <= rho) run densely on the batch's target x vertex
-    block, so only the candidates that pass them reach the per-candidate
-    gathers.  Targets are the requirement table's rows, in the order it
-    numbers them, read as state ids from RequirementTable.target with no
-    conversion, so a batch folds its targets' requirement rows from one
-    contiguous slice of the frontier index (metric._fold), just before the
-    dense test; no row outlives its batch.  The dense left test compares
-    each target's stored label row with l; a one-component target reads
-    the zero row and compares it with 0, which always holds: its left
-    component is the outside, dist(w, v) > q, that is p >= 0, which the
-    range test checks.  Per candidate, kappa first drops the balls without
-    states; then the facing label is gathered through the label map for
-    every kept candidate, with no branch: a one-component ball reads 0 from
-    the zero row, which gives left label 0.  Compressing to the
-    two-component balls before that gather measured slower on path-192.
+    The two tests that read only tau's own rows (tau's facing frontier
+    covered: its requirement row at v is <= p, and 0 <= p <= rho) run
+    densely on the batch's target x vertex block, so only the candidates
+    that pass them reach the per-candidate gathers.  They imply that v lies
+    in tau's left component L, so that is not tested.  Proof: p >= 0 puts
+    v outside B(w, q).  If v were in another component, every path from v
+    to a frontier vertex z of L, d(w, z) = q + 1, would meet the ball at
+    some u, and d(v, z) >= d(v, w) - d(w, u) + d(u, z) >= (p + q + 1) - q
+    + 1 = p + 2; so the row's entry at v, the largest such d(v, z) over a
+    nonempty frontier, would exceed p.  Targets are the requirement
+    table's rows, in the order it numbers them, read as state ids from
+    RequirementTable.target with no conversion, so a batch folds its
+    targets' requirement rows from one contiguous slice of the frontier
+    index (metric._fold), just before the dense test; no row outlives its
+    batch.  Per candidate, the place of w in v's order is read from the
+    batch's rows of the transposed order table, a copy made once per
+    call, so the gather follows the candidates' cells in order; kappa then
+    drops the balls without states, and the facing label is one interval
+    test for every kept candidate, with no branch: a one-component ball's
+    label 2 is empty, which gives left label 0.
 
     A batch holds about max(C / 450, 8192) units: one unit per candidate,
-    and n // 8 per target for its row of the dense block.  C is the label
+    and n // 8 per target for its row of the dense block.  C is the order
     and component tables plus 2 n (rows + 1) bytes, the size of every
     requirement row folded at once beside a zero row, which grows like
     n^2 rho, so large graphs take a few dozen batches and small ones one;
@@ -266,11 +270,16 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     """
     left_size = states[1]
     n, rho = rt.n, rt.rho
-    # flat views; (center, power) ball r = center * (rho + 1) + power
-    lmap, labels = rt.label_map.reshape(-1), rt.comp_label.reshape(-1)
-    # balls with oriented states, kappa 1 or 2: those with a left-label-1
-    # state (kappa is 0 at power 0)
-    oriented = _EXISTS[:, 1].take(rt.kappa.reshape(-1), mode="clip")
+    facing_at = np.ascontiguousarray(rt.comp_label.T)  # [w, v]: w's place in v's order
+    # by (center, power) ball r = center * (rho + 1) + power: whether it has
+    # oriented states, kappa 1 or 2 (kappa is 0 at power 0); its label-2
+    # interval, empty on one component; and its source id when w lies in
+    # label 1: 3 r + 2 on two components, 3 r (left label 0) on one
+    kappa = rt.kappa.reshape(-1)
+    oriented = _EXISTS[:, 1].take(kappa, mode="clip")
+    first2, size2 = rt.comp_first[:, :, 2].reshape(-1), rt.comp_size[:, :, 2].reshape(-1).view(np.uint16)
+    faces1 = np.arange(0, 3 * kappa.size, 3)
+    faces1 += 2 * (kappa == 2)
     targets = req.target  # int32 state ids in row order, below 3 n (rho + 1) < 2**31
     start = req.start
     dense_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + 2 * n * (targets.size + 1)
@@ -281,15 +290,13 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     def batches():
         for a, b in zip(cuts, cuts[1:]):
             taus = targets[a:b].astype(np.int64)
-            w, q, left = _decode(taus, rho)
+            w, q, _ = _decode(taus, rho)
             # target x vertex block; p = dist(w, v) - q - 1 lies in [-n, n),
             # so int16 holds it
             p = dm.dist[w]
             p -= (q + 1).astype(np.int16)[:, None]
-            stored = rt.label_map[w, q]  # 0 unless tau's ball has two components
-            ok = rt.comp_label[stored] == np.multiply(left, stored > 0, dtype=np.int8)[:, None]
             lo = start[a + 1]  # rows a + 1 to b
-            ok &= _fold(dm.dist, req.req[lo : start[b + 1]], start[a + 1 : b + 1] - lo) <= p
+            ok = _fold(dm.dist, req.req[lo : start[b + 1]], start[a + 1 : b + 1] - lo) <= p
             ok &= p.view(np.uint16) <= rho  # 0 <= p <= rho
             # candidate arrays are narrowed one at a time and dropped once
             # read, so few of them are alive at once; only dst and src stay
@@ -297,24 +304,20 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
             cell = np.flatnonzero(ok)
             del ok
             p = p.reshape(-1)[cell]
+            facing = facing_at[w].reshape(-1)[cell]  # w's place in v's order
             pos, vp = np.divmod(cell, n)
             vp *= rho + 1
             vp += p  # the candidate ball (v, p)
             del cell, p
             m = oriented[vp]
-            pos = pos[m]
-            vp = vp[m]
+            pos, vp, facing = pos[m], vp[m], facing[m]
             del m
-            at = lmap[vp]  # the stored row of the candidate ball
-            at = np.multiply(at, n, dtype=np.int64)
-            at += w[pos]
             dst = taus[pos]
             del pos
-            rlab = labels[at]  # 0 from the zero row on a one-component ball
-            del at
-            src = vp * 3  # the candidate ball's first slot
-            src += (3 - rlab) * (rlab != 0)  # the other label, or 0
-            del vp, rlab
+            facing -= first2[vp]
+            src = faces1[vp]
+            src -= facing.view(np.uint16) < size2[vp]  # w in label 2: left label 1
+            del vp, facing
             # acyclicity witness: the left side strictly grows along every arc
             reach = left_size[src]
             if (reach >= left_size[dst]).any():
@@ -433,10 +436,14 @@ _PHYSICAL_MEMORY = _physical_memory()  # read once, at import
 
 def _table_bytes(n: int, rad: int) -> int:
     """Bytes of the path tables of an n-vertex graph of radius rad in the
-    worst case, before any of them is built: int8 label rows, at most
-    n^2 (rad+1), and an allowance of 2 n^2 (rad+1) for the memory beside
-    them: the row maps, the frontier index of at most n^2 int16 entries,
-    the label pass's blocks and the DP's batches."""
+    worst case, before any of them is built: n^2 (rad+1) for the component
+    tables, which need far less now that components are intervals (the
+    vertex orders take 2 n^2 bytes, within it from rad 1 on, and kappa,
+    the starts and the sizes 14 n (rad+1)), and an allowance of
+    2 n^2 (rad+1) for the memory beside them: the row maps, the frontier
+    index of at most n^2 int16 entries and the DP's batches.  The estimate
+    keeps the worst case of the earlier int8 label rows, n^2 (rad+1), so
+    the sizes it refuses are unchanged."""
     return 3 * n * n * (rad + 1)
 
 

@@ -62,6 +62,22 @@ def label_graphs(small_random_graphs):
     return small_random_graphs + larger
 
 
+def assert_order_layout(g):
+    """Every center's comp_label row is a permutation of its n places, and
+    every ball's label-1 and label-2 intervals lie in [0, n) and are
+    disjoint: the interval layout label_row, requirement_table and
+    _in_arcs read."""
+    _, rt, _ = tables(g)
+    assert rt.comp_label.dtype == rt.comp_first.dtype == np.int16
+    assert rt.comp_label.shape == (g.n, g.n) and rt.comp_first.shape == rt.comp_size.shape
+    assert (np.sort(rt.comp_label, axis=1) == np.arange(g.n)).all()
+    lo, size = rt.comp_first[:, :, 1:].astype(np.int64), rt.comp_size[:, :, 1:].astype(np.int64)
+    held = size > 0
+    assert (lo[held] >= 0).all() and (lo + size)[held].max(initial=0) <= g.n
+    one, two = (lo + size)[..., 0] <= lo[..., 1], (lo + size)[..., 1] <= lo[..., 0]
+    assert (one | two)[held.all(axis=2)].all()
+
+
 def assert_matches_fresh_bfs(g):
     """kappa, the dense label rows and comp_size of every ball equal the
     components a fresh BFS finds in its complement.  Rows at power 0 and
@@ -234,7 +250,9 @@ class TestResidualDecompositions:
         # smaller graphs a merge that kept the wrong low almost never
         # changes a label
         perm = [x for x in perm if x < g.n]
-        assert_matches_fresh_bfs(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert_matches_fresh_bfs(h)
+        assert_order_layout(h)
 
     def test_sweep_merges_into_largest_class(self):
         # ball (2, 1): center 2, inside {2, 3}.  Its shell {4, 1} activates
@@ -265,20 +283,9 @@ class TestResidualDecompositions:
                     assert total == outside
 
 
-    def test_stored_rows_only_for_two_component_balls(self, label_graphs):
-        # a one-component ball's row is dist > p and is never stored; the
-        # stored int8 rows are one per two-component ball below the zero
-        # row, which every other ball's map entry points at
+    def test_order_layout(self, label_graphs):
         for g in label_graphs:
-            dm, rt, _ = tables(g)
-            two = rt.kappa == 2
-            assert rt.comp_label.dtype == np.int8
-            assert rt.comp_label.shape == (1 + int(two.sum()), g.n)
-            assert not rt.comp_label[0].any()
-            assert not rt.label_map[~two].any()
-            assert sorted(rt.label_map[two].tolist()) == list(range(1, rt.comp_label.shape[0]))
-            for v, p in zip(*np.nonzero(rt.kappa == 1)):
-                assert rt.label_row(v, p).tolist() == (dm.dist[v] > p).tolist()
+            assert_order_layout(g)
 
 
 class TestRequirements:
@@ -360,15 +367,15 @@ class TestBallLaws:
 
 class TestPreconditions:
     def test_single_vertex_has_no_balls(self):
-        # radius 0: no ball of power 1 or more, so the stored label table
-        # is its zero row alone, the frontier index is empty with the empty
-        # row 0 only, and every map entry points at those rows
+        # radius 0: no ball of power 1 or more, so the one vertex order is
+        # the vertex itself, every slot is empty, the frontier index is
+        # empty with the empty row 0 only, and every map entry points at it
         dm, rt, rq = tables(Graph.from_edges(1, []))
         assert dm.radius == rt.rho == 0
         arrays = [
             (rt.kappa, (1, 1)),
             (rt.comp_label, (1, 1)),
-            (rt.label_map, (1, 1)),
+            (rt.comp_first, (1, 1, 3)),
             (rt.comp_size, (1, 1, 3)),
             (rq.req, (0,)),
             (rq.start, (2,)),

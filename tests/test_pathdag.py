@@ -339,13 +339,11 @@ class TestSolvePath:
         # the DP pulls in-arcs one left-size batch at a time and folds each
         # batch's requirement rows from the frontier index, so neither an
         # arc array of cubic length nor a table of all requirement rows
-        # exists while solve_path runs; on the cycle almost every kept ball
-        # has one component, so the label pass, which writes blocks of at
-        # most _LABEL_CELLS cells, must not build a wide temporary over all
-        # those rows; the barbell's tables are small (rad 24), so there the
-        # DP's batches must stay small beside them too.  The reference is
-        # the label and component tables plus 2 n bytes per requirement row
-        # and one zero row, the size of all requirement rows folded at once
+        # exists while solve_path runs; the barbell's tables are small
+        # (rad 24), so there the DP's batches must stay small beside them
+        # too.  The reference is the vertex orders and component tables
+        # plus 2 n bytes per requirement row and one zero row, the size of
+        # all requirement rows folded at once
         _, rt, rq = tables(g)
         rows = np.count_nonzero(rq.row_map)
         dense_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + 2 * g.n * (rows + 1)
@@ -390,11 +388,12 @@ class TestSolvePath:
             solve_path(path_graph(6))
 
     def test_table_estimate_counts_tables_and_working_allowance(self):
-        # the worst case, known before any table is built: int8 label rows,
-        # n^2 (rad+1) bytes, and an allowance of 2 n^2 (rad+1) for the
-        # memory beside them (row maps, the frontier index of at most n^2
-        # int16 entries, label blocks, DP batches); the built tables stay
-        # within their parts; path-3000 would need 37.7 GiB
+        # the worst case, known before any table is built: n^2 (rad+1)
+        # bytes, which hold the vertex orders' 2 n^2 from rad 1 on, and an
+        # allowance of 2 n^2 (rad+1) for the memory beside them (row maps,
+        # the frontier index of at most n^2 int16 entries, DP batches); the
+        # built tables stay within their parts; path-3000 would need
+        # 37.7 GiB
         for g in (path_graph(12), cycle_graph(30), barbell_graph(24), star_graph(9), random_tree(40, 2)):
             dm, rt, rq = tables(g)
             cells = g.n * g.n * (dm.radius + 1)
@@ -402,7 +401,7 @@ class TestSolvePath:
             assert rt.comp_label.nbytes <= cells
             assert rq.req.size <= g.n * g.n
             index = rq.req.nbytes + rq.start.nbytes + rq.target.nbytes
-            assert index + rt.label_map.nbytes + rq.row_map.nbytes <= 2 * cells
+            assert index + rq.row_map.nbytes <= 2 * cells
         assert pathdag._table_bytes(3000, 1500) == 40_527_000_000
 
     def test_tables_beyond_physical_memory_exit_2(self, monkeypatch, tmp_path, capsys):
