@@ -177,10 +177,7 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
         opened = []  # every root that opened a class
         ncomp = outside = 0
         kv, s1, f1 = [0] * (rho + 1), [0] * (rho + 1), [0] * (rho + 1)
-        base = v * (rho + 1)
-        t2: list[int] = []
-        s2: list[int] = []
-        f2: list[int] = []
+        t2, s2, f2 = [], [], []  # this center's label-2 records
         for p in range(ecc_v - 1, 0, -1):
             shell = shells[p + 1]
             outside += len(shell)
@@ -228,7 +225,7 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
                         r1, r2 = r2, r1
                     m2 = len(members[r2])
                     s1[p], f1[p] = outside - m2, r1
-                    t2.append(base + p)
+                    t2.append(v * (rho + 1) + p)
                     s2.append(m2)
                     f2.append(r2)
         for r in opened:
@@ -242,22 +239,14 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     rows = np.arange(n)[:, None]
     comp_label[rows, np.frombuffer(order, dtype=np.int16).reshape(n, n)] = np.arange(n, dtype=np.int16)
     del order
-    comp_size = np.zeros((n, rho + 1, 3), dtype=np.int16)
-    comp_first = np.zeros((n, rho + 1, 3), dtype=np.int16)
+    comp_size, comp_first = (np.zeros((n, rho + 1, 3), dtype=np.int16) for _ in range(2))
     comp_size[:, :, 1] = np.frombuffer(size1, dtype=np.int16).reshape(n, rho + 1)
     comp_first[:, :, 1] = comp_label[rows, np.frombuffer(first1, dtype=np.int16).reshape(n, rho + 1)]
     at = np.frombuffer(twos, dtype=np.int32)
     comp_size.reshape(-1, 3)[at, 2] = np.frombuffer(size2, dtype=np.int16)
     comp_first.reshape(-1, 3)[at, 2] = comp_label[at // (rho + 1), np.frombuffer(first2, dtype=np.int16)]
-    return ResidualTable(
-        n=n,
-        rho=rho,
-        kappa=np.frombuffer(kappa, dtype=np.int16).reshape(n, rho + 1),
-        comp_label=comp_label,
-        comp_first=comp_first,
-        comp_size=comp_size,
-        dist=dm.dist,
-    )
+    kappa = np.frombuffer(kappa, dtype=np.int16).reshape(n, rho + 1)
+    return ResidualTable(n, rho, kappa, comp_label, comp_first, comp_size, dm.dist)
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,12 +392,8 @@ def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> Requir
         at = rt.comp_label[lo : lo + block][vs, zs]  # each pair's place in its center's order
         del vs, q_z
         at -= first2[ball]
-        side = at.view(np.uint16) < size2[ball]  # label 2 picks the second row
-        del at
-        ball *= 2
-        ball += side
-        key = row_map.reshape(-1)[ball]  # [ball, label - 1]
-        del ball, side
+        key = row_map.reshape(-1)[2 * ball + (at.view(np.uint16) < size2[ball])]  # label 2 picks the second row
+        del ball, at
         m = key > 0  # 0 exactly on the balls without rows
         zs, key = zs[m].astype(np.int16), key[m]
         del m
