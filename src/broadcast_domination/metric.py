@@ -15,7 +15,7 @@ int16 entries in all, with no row of n per ball.  Per center the Python
 work is the shell-by-shell disjoint-set build, one scan of each vertex's
 neighbors in which it joins the class of the first active one and merges
 any further class it meets, and O(1) per ball; the places and the starts
-are written by one array assignment and one gather per label at the end.
+are written by one argsort and one gather per label at the end.
 
 The requirements are not stored as rows.  Each (ball, label) pair with a
 state keeps only its frontier vertices, in an index of at most n^2 int16
@@ -153,19 +153,20 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     the order is the slot's start.  Label 1's root and size are kept in a
     row per center, label 2's only for the two-component balls.  The
     orders, one int16 buffer over all centers, are inverted into comp_label
-    by one array assignment, and each label's starts gathered from it at
-    once.  The one-vertex graph has radius 0 and no ball to remove: its
+    by one argsort along the rows (a radix sort on int16, as fast as the
+    inverse's scatter and with fewer calls), and each label's starts are
+    gathered from it at once.  The one-vertex graph has radius 0 and no ball to remove: its
     tables are single zero rows.
     """
     n = g.n
     if not dm.connected:
         raise DisconnectedGraphError("residual decompositions require a connected graph")
     rho = dm.radius
-    # per center and power: kappa, label 1's size and root
-    kappa, size1, first1 = array("h"), array("h"), array("h")
+    # per center: its kappa row, label 1's size row and root row
+    dense = array("h")
     order = array("h")  # the centers' vertex orders, one after another
     # per two-component ball: its index v (rho + 1) + p, label 2's size and root
-    twos, size2, first2 = array("i"), array("h"), array("h")
+    twos = array("i")
     adj = g.adj
     for v, ecc_v in enumerate(dm.ecc.tolist()):
         shells: list[list[int]] = [[] for _ in range(ecc_v + 1)]
@@ -177,7 +178,7 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
         opened = []  # every root that opened a class
         ncomp = outside = 0
         kv, s1, f1 = [0] * (rho + 1), [0] * (rho + 1), [0] * (rho + 1)
-        t2, s2, f2 = [], [], []  # this center's label-2 records
+        t2: list[int] = []  # this center's label-2 records
         for p in range(ecc_v - 1, 0, -1):
             shell = shells[p + 1]
             outside += len(shell)
@@ -225,27 +226,25 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
                         r1, r2 = r2, r1
                     m2 = len(members[r2])
                     s1[p], f1[p] = outside - m2, r1
-                    t2.append(v * (rho + 1) + p)
-                    s2.append(m2)
-                    f2.append(r2)
+                    t2 += v * (rho + 1) + p, m2, r2
         for r in opened:
             if members[r] is not None:
                 order.fromlist(members[r])
         for shell in shells[:2]:  # never activated
             order.fromlist(shell)
-        for buf, row in zip((kappa, size1, first1, twos, size2, first2), (kv, s1, f1, t2, s2, f2)):
-            buf.fromlist(row)
-    comp_label = np.empty((n, n), dtype=np.int16)
-    rows = np.arange(n)[:, None]
-    comp_label[rows, np.frombuffer(order, dtype=np.int16).reshape(n, n)] = np.arange(n, dtype=np.int16)
+        dense.fromlist(kv + s1 + f1)
+        twos.fromlist(t2)
+    # the places invert the orders: an argsort, a radix sort on int16
+    comp_label = np.frombuffer(order, dtype=np.int16).reshape(n, n).argsort(axis=1, kind="stable").astype(np.int16)
     del order
+    kappa, size1, first1 = np.frombuffer(dense, dtype=np.int16).reshape(n, 3, rho + 1).transpose(1, 0, 2)
     comp_size, comp_first = (np.zeros((n, rho + 1, 3), dtype=np.int16) for _ in range(2))
-    comp_size[:, :, 1] = np.frombuffer(size1, dtype=np.int16).reshape(n, rho + 1)
-    comp_first[:, :, 1] = comp_label[rows, np.frombuffer(first1, dtype=np.int16).reshape(n, rho + 1)]
-    at = np.frombuffer(twos, dtype=np.int32)
-    comp_size.reshape(-1, 3)[at, 2] = np.frombuffer(size2, dtype=np.int16)
-    comp_first.reshape(-1, 3)[at, 2] = comp_label[at // (rho + 1), np.frombuffer(first2, dtype=np.int16)]
-    kappa = np.frombuffer(kappa, dtype=np.int16).reshape(n, rho + 1)
+    comp_size[:, :, 1] = size1
+    comp_first[:, :, 1] = comp_label[np.arange(n)[:, None], first1]
+    at, size2, first2 = np.frombuffer(twos, dtype=np.int32).reshape(-1, 3).T
+    comp_size.reshape(-1, 3)[at, 2] = size2
+    comp_first.reshape(-1, 3)[at, 2] = comp_label[at // (rho + 1), first2]
+    kappa = kappa.copy()
     return ResidualTable(n, rho, kappa, comp_label, comp_first, comp_size, dm.dist)
 
 
