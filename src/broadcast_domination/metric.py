@@ -15,7 +15,8 @@ int16 entries in all, with no row of n per ball.  Per center the Python
 work is the shell-by-shell disjoint-set build, one scan of each vertex's
 neighbors in which it joins the class of the first active one and merges
 any further class it meets, and O(1) per ball; the places and the starts
-are written by one argsort and one gather per label at the end.
+are written by one array assignment and one gather per label at the
+end.
 
 The requirements are not stored as rows.  Each (ball, label) pair with a
 state keeps only its frontier vertices, in an index of at most n^2 int16
@@ -150,19 +151,19 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     the list of roots ever opened without a scan of all n roots, then the
     vertices never activated, at distance 0 and 1.  So a ball's slot keeps
     only its class's root and size, O(1) per ball, and the root's place in
-    the order is the slot's start.  Label 1's root and size are kept in a
-    row per center, label 2's only for the two-component balls.  The
-    orders, one int16 buffer over all centers, are inverted into comp_label
-    by one argsort along the rows (a radix sort on int16, as fast as the
-    inverse's scatter and with fewer calls), and each label's starts are
-    gathered from it at once.  The one-vertex graph has radius 0 and no ball to remove: its
-    tables are single zero rows.
+    the order is the slot's start.  Label 1's root is kept in a row per
+    center, label 2's root and size only for the two-component balls;
+    label 1's size is the rest of the outside, counted from the distances
+    after the sweep.  The orders, one int16 buffer over all centers, are
+    inverted into comp_label by one array assignment, and each label's
+    starts are gathered from it at once.  The one-vertex graph has radius 0
+    and no ball to remove: its tables are single zero rows.
     """
     n = g.n
     if not dm.connected:
         raise DisconnectedGraphError("residual decompositions require a connected graph")
     rho = dm.radius
-    # per center: its kappa row, label 1's size row and root row
+    # per center: its kappa row and label 1's root row
     dense = array("h")
     order = array("h")  # the centers' vertex orders, one after another
     # per two-component ball: its index v (rho + 1) + p, label 2's size and root
@@ -176,12 +177,11 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
         members: list[list[int] | None] = [None] * n  # by root: its class
         low = [0] * n  # by root: its class's smallest vertex
         opened = []  # every root that opened a class
-        ncomp = outside = 0
-        kv, s1, f1 = [0] * (rho + 1), [0] * (rho + 1), [0] * (rho + 1)
+        ncomp = 0
+        kv, f1 = [0] * (rho + 1), [0] * (rho + 1)
         t2: list[int] = []  # this center's label-2 records
         for p in range(ecc_v - 1, 0, -1):
             shell = shells[p + 1]
-            outside += len(shell)
             for x in shell:
                 rx = -1
                 for y in adj[x]:
@@ -214,7 +214,6 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
             if p <= rho:
                 kv[p] = ncomp
                 if ncomp == 1:  # x, the shell's last vertex, is in the class
-                    s1[p] = outside
                     f1[p] = parent[x]
                 elif ncomp == 2:
                     r1 = parent[shell[0]]
@@ -224,27 +223,30 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
                             break
                     if low[r2] < low[r1]:
                         r1, r2 = r2, r1
-                    m2 = len(members[r2])
-                    s1[p], f1[p] = outside - m2, r1
-                    t2 += v * (rho + 1) + p, m2, r2
+                    f1[p] = r1
+                    t2 += v * (rho + 1) + p, len(members[r2]), r2
         for r in opened:
             if members[r] is not None:
                 order.fromlist(members[r])
         for shell in shells[:2]:  # never activated
             order.fromlist(shell)
-        dense.fromlist(kv + s1 + f1)
+        dense.fromlist(kv + f1)
         twos.fromlist(t2)
-    # the places invert the orders: an argsort, a radix sort on int16
-    comp_label = np.frombuffer(order, dtype=np.int16).reshape(n, n).argsort(axis=1, kind="stable").astype(np.int16)
+    comp_label = np.empty((n, n), dtype=np.int16)  # the places invert the orders
+    comp_label[np.arange(n)[:, None], np.frombuffer(order, dtype=np.int16).reshape(n, n)] = np.arange(n, dtype=np.int16)
     del order
-    kappa, size1, first1 = np.frombuffer(dense, dtype=np.int16).reshape(n, 3, rho + 1).transpose(1, 0, 2)
+    kappa, first1 = np.frombuffer(dense, dtype=np.int16).reshape(n, 2, rho + 1).transpose(1, 0, 2)
     comp_size, comp_first = (np.zeros((n, rho + 1, 3), dtype=np.int16) for _ in range(2))
-    comp_size[:, :, 1] = size1
     comp_first[:, :, 1] = comp_label[np.arange(n)[:, None], first1]
     at, size2, first2 = np.frombuffer(twos, dtype=np.int32).reshape(-1, 3).T
     comp_size.reshape(-1, 3)[at, 2] = size2
     comp_first.reshape(-1, 3)[at, 2] = comp_label[at // (rho + 1), first2]
-    kappa = kappa.copy()
+    kappa = kappa.copy()  # contiguous, and apart from the sweep's buffer
+    # label 1 holds the rest of the outside: n - |B(v, p)| less label 2's
+    # size, with |B(v, p)| summed from each center's distance histogram
+    within = np.bincount((dm.dist + np.arange(0, n * n, n)[:, None]).reshape(-1), minlength=n * n)
+    within = within.reshape(n, n)[:, : rho + 1].cumsum(axis=1)
+    comp_size[:, :, 1] = np.where((kappa == 1) | (kappa == 2), n - within - comp_size[:, :, 2], 0)
     return ResidualTable(n, rho, kappa, comp_label, comp_first, comp_size, dm.dist)
 
 

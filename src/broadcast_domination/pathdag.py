@@ -437,13 +437,14 @@ _PHYSICAL_MEMORY = _physical_memory()  # read once, at import
 def _table_bytes(n: int, rad: int) -> int:
     """Bytes of the path tables of an n-vertex graph of radius rad in the
     worst case, before any of them is built: n^2 (rad+1) for the component
-    tables, which need far less now that components are intervals (the
-    vertex orders take 2 n^2 bytes, within it from rad 1 on, and kappa,
-    the starts and the sizes 14 n (rad+1)), and an allowance of
-    2 n^2 (rad+1) for the memory beside them: the row maps, the frontier
-    index of at most n^2 int16 entries and the DP's batches.  The estimate
-    keeps the worst case of the earlier int8 label rows, n^2 (rad+1), so
-    the sizes it refuses are unchanged."""
+    tables and an allowance of 2 n^2 (rad+1) for the memory beside them:
+    the row maps, the frontier index of at most n^2 int16 entries and the
+    DP's batches.  The component term is one byte per ball and vertex.
+    The interval tables take the vertex orders' 2 n^2 bytes, within it
+    from rad 1 on, and 14 n (rad+1) for kappa, the starts and the sizes,
+    far less on large graphs; the term is kept at that size, so the
+    graphs refused stay those the README documents (path-3000,
+    37.7 GiB)."""
     return 3 * n * n * (rad + 1)
 
 
