@@ -108,14 +108,12 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     Radii are processed in decreasing order per center: stepping from p+1 to
     p activates exactly the distance-(p+1) shell, one vertex at a time.  The
     active vertices form disjoint sets with eager roots: parent[z] is the
-    root of z's class (-1 while z is inside the ball), members[r] lists
-    root r's class and low[r] is its smallest vertex.  A vertex x being
-    activated scans its neighbors once.  The first active neighbor's class
-    takes x in: x gets its root, joins its member list and lowers its low
-    if x is smaller.  Every further distinct class x meets is merged into
-    x's, smaller into larger (equal sizes keep the smaller root), and the
-    kept root takes the smaller of the two lows.  Only an x with no active
-    neighbor opens a class of its own.  The class count rises by one per
+    root of z's class (-1 while z is inside the ball) and members[r]
+    lists root r's class.  A vertex x being activated scans its neighbors
+    once.  The first active neighbor's class takes x in: x gets its root
+    and joins its member list.  Every further distinct class x meets is
+    merged into x's, smaller into larger (equal sizes keep the smaller
+    root).  Only an x with no active neighbor opens a class of its own.  The class count rises by one per
     opened class and falls by one per merge.
 
     After each shell the classes are the components of the graph induced
@@ -131,18 +129,19 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     cycles all but the one or two that open a class) and join it with one
     append and no new list.  Every root opened its class, and a list only
     ever grows at its end, so each class's list starts with its root.  The
-    tables read only the partition after each shell, the lows and the
-    roots' places in the final order (below), which do not depend on which
-    root a merge keeps.
+    tables read only the partition after each shell and the roots' places
+    in the final order (below), which do not depend on which root a merge
+    keeps.
 
     Labels follow first touch over ascending vertex index, so on a
-    two-component ball label 1 is the class whose smallest member (the
-    disjoint set's low) is smaller.  Both roots are found on the shell
-    S_{p+1} just activated: a shortest path from v to an outside vertex z
-    meets S_{p+1}, and from there on its distances from v exceed p, so it
-    stays outside the ball and within z's class; hence both classes meet
-    S_{p+1}.  On a one-component ball the class is that of x, the shell's
-    last vertex.
+    two-component ball label 1 is the class of the smallest outside
+    vertex, the smaller of the last one's and the smallest of the shell
+    just activated (shells list their vertices in ascending order).  The
+    other root is found on that shell, S_{p+1}: a shortest path from v to
+    an outside vertex z meets S_{p+1}, and from there on its distances
+    from v exceed p, so it stays outside the ball and within z's class;
+    hence both classes meet S_{p+1}.  On a one-component ball the class is
+    that of x, the shell's last vertex.
 
     Center v's vertex order is its member lists' own order.  A join appends
     to a list and a merge concatenates two, so each class's list, at every
@@ -175,13 +174,15 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
             shells[d].append(z)
         parent = [-1] * n  # root of each active vertex's class; -1 inside the ball
         members: list[list[int] | None] = [None] * n  # by root: its class
-        low = [0] * n  # by root: its class's smallest vertex
         opened = []  # every root that opened a class
         ncomp = 0
+        first = n  # the smallest outside vertex
         kv, f1 = [0] * (rho + 1), [0] * (rho + 1)
         t2: list[int] = []  # this center's label-2 records
         for p in range(ecc_v - 1, 0, -1):
             shell = shells[p + 1]
+            if shell[0] < first:
+                first = shell[0]
             for x in shell:
                 rx = -1
                 for y in adj[x]:
@@ -192,8 +193,6 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
                         rx = ry
                         parent[x] = rx
                         members[rx].append(x)
-                        if x < low[rx]:
-                            low[rx] = x
                         continue
                     mx, my = members[rx], members[ry]
                     if len(mx) < len(my) or (len(mx) == len(my) and ry < rx):
@@ -202,13 +201,10 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
                         parent[z] = rx
                     mx.extend(my)
                     members[ry] = None
-                    if low[ry] < low[rx]:
-                        low[rx] = low[ry]
                     ncomp -= 1
                 if rx < 0:  # no active neighbor: x opens a class
                     parent[x] = x
                     members[x] = [x]
-                    low[x] = x
                     opened.append(x)
                     ncomp += 1
             if p <= rho:
@@ -216,14 +212,11 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
                 if ncomp == 1:  # x, the shell's last vertex, is in the class
                     f1[p] = parent[x]
                 elif ncomp == 2:
-                    r1 = parent[shell[0]]
+                    r1 = f1[p] = parent[first]
                     for x in shell:
                         r2 = parent[x]
                         if r2 != r1:
                             break
-                    if low[r2] < low[r1]:
-                        r1, r2 = r2, r1
-                    f1[p] = r1
                     t2 += v * (rho + 1) + p, len(members[r2]), r2
         for r in opened:
             if members[r] is not None:

@@ -247,8 +247,8 @@ class TestResidualDecompositions:
         # random trees plus chords, so shells hold edges between their own
         # vertices, relabelled so that a class's smallest vertex is not
         # where the sweep first reaches it.  Eight vertices or more: on
-        # smaller graphs a merge that kept the wrong low almost never
-        # changes a label
+        # smaller graphs a sweep that took the wrong class for label 1
+        # almost never changes a label
         perm = [x for x in perm if x < g.n]
         h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         assert_matches_fresh_bfs(h)
