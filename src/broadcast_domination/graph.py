@@ -9,7 +9,6 @@ built.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -191,24 +190,21 @@ def bfs_distances(g: Graph, s: int) -> list[int]:
     n = g.n
     row = [n] * n
     row[s] = 0
-    q = deque([s])
+    queue = [s]  # never popped: the loop walks it as it grows
     adj = g.adj
-    while q:
-        u = q.popleft()
+    for u in queue:
         du = row[u] + 1
         for w in adj[u]:
             if row[w] == n:
                 row[w] = du
-                q.append(w)
+                queue.append(w)
     return row
 
 
 def apsp(g: Graph) -> DistanceMatrix:
     """Exact hop distances via one BFS per vertex, O(n*(n+m)) total."""
     n = g.n
-    dist = np.empty((n, n), dtype=np.int16)
-    for s in range(n):
-        dist[s] = bfs_distances(g, s)
+    dist = np.array([bfs_distances(g, s) for s in range(n)], dtype=np.int16).reshape(n, n)
     ecc = dist.max(axis=1)
     connected = bool(int(ecc.max()) < n)
     radius = int(ecc.min())

@@ -113,8 +113,9 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     once.  The first active neighbor's class takes x in: x gets its root
     and joins its member list.  Every further distinct class x meets is
     merged into x's, smaller into larger (equal sizes keep the smaller
-    root).  Only an x with no active neighbor opens a class of its own.  The class count rises by one per
-    opened class and falls by one per merge.
+    root).  Only an x with no active neighbor opens a class of its own.
+    The live roots, those of the current classes, are kept in a set: an
+    opened class adds its root and a merge removes the absorbed one.
 
     After each shell the classes are the components of the graph induced
     on the active vertices, G - B(v, p).  Classes only join along edges
@@ -133,113 +134,109 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     in the final order (below), which do not depend on which root a merge
     keeps.
 
-    Labels follow first touch over ascending vertex index, so on a
-    two-component ball label 1 is the class of the smallest outside
-    vertex, the smaller of the last one's and the smallest of the shell
-    just activated (shells list their vertices in ascending order).  The
-    other root is found on that shell, S_{p+1}: a shortest path from v to
-    an outside vertex z meets S_{p+1}, and from there on its distances
-    from v exceed p, so it stays outside the ball and within z's class;
-    hence both classes meet S_{p+1}.  On a one-component ball the class is
-    that of x, the shell's last vertex.
+    Each center walks its vertices once, farthest first and by ascending
+    index within a distance, in the order of one stable argsort of the
+    negated distance rows; a shell ends where the distance drops, and v
+    itself, at distance 0, ends the last one.  So the first vertex of each
+    shell is its smallest, and the smallest outside vertex is the smaller
+    of the last one and the shell's first.  Labels follow first touch over
+    ascending vertex index, so label 1 is the class of that vertex, and on
+    a two-component ball label 2 is the other live root.
 
     Center v's vertex order is its member lists' own order.  A join appends
     to a list and a merge concatenates two, so each class's list, at every
     power, stays one contiguous block of every later list, starting at its
-    root.  At the end the surviving classes are concatenated, found from
-    the list of roots ever opened without a scan of all n roots, then the
-    vertices never activated, at distance 0 and 1.  So a ball's slot keeps
-    only its class's root and size, O(1) per ball, and the root's place in
-    the order is the slot's start.  Label 1's root is kept in a row per
-    center, label 2's root and size only for the two-component balls;
-    label 1's size is the rest of the outside, counted from the distances
-    after the sweep.  The orders, one int16 buffer over all centers, are
-    inverted into comp_label by one array assignment, and each label's
-    starts are gathered from it at once.  The one-vertex graph has radius 0
-    and no ball to remove: its tables are single zero rows.
+    root.  At the end the surviving classes are concatenated, in the order
+    their roots opened, then the vertices never activated, at distance 0
+    and 1.  So a ball's slot keeps only its class's root and size, O(1) per
+    ball, and the root's place in the order is the slot's start.  Each
+    center keeps one list of rows by power: kappa, the roots of labels 1
+    and 2, and their sizes, the lengths of their member lists.  The lists
+    and the orders each fill one int16 buffer over all centers; the orders
+    are inverted into comp_label by one array assignment, and the starts
+    are gathered from it at once.  The one-vertex graph has radius 0 and
+    no ball to remove: its tables are single zero rows.
     """
     n = g.n
     if not dm.connected:
         raise DisconnectedGraphError("residual decompositions require a connected graph")
     rho = dm.radius
-    # per center: its kappa row and label 1's root row
-    dense = array("h")
+    dense = array("h")  # per center: its kappa row, the two labels' root rows and their size rows
+    root1, root2, size1, size2 = (k * (rho + 1) for k in range(1, 5))  # where those rows start
     order = array("h")  # the centers' vertex orders, one after another
-    # per two-component ball: its index v (rho + 1) + p, label 2's size and root
-    twos = array("i")
     adj = g.adj
-    for v, ecc_v in enumerate(dm.ecc.tolist()):
-        shells: list[list[int]] = [[] for _ in range(ecc_v + 1)]
-        for z, d in enumerate(dm.dist[v].tolist()):
-            shells[d].append(z)
+    walks = np.argsort(-dm.dist, axis=1, kind="stable").tolist()  # far to near, ties ascending
+    for v, (walk, dv, ecc_v) in enumerate(zip(walks, dm.dist.tolist(), dm.ecc.tolist())):
+        far = n - 1 - len(adj[v])  # the vertices ever activated, at distance 2 or more
         parent = [-1] * n  # root of each active vertex's class; -1 inside the ball
         members: list[list[int] | None] = [None] * n  # by root: its class
-        opened = []  # every root that opened a class
+        opened = []  # every root that opened a class, in order
+        live = set()  # the current classes' roots
         ncomp = 0
-        first = n  # the smallest outside vertex
-        kv, f1 = [0] * (rho + 1), [0] * (rho + 1)
-        t2: list[int] = []  # this center's label-2 records
-        for p in range(ecc_v - 1, 0, -1):
-            shell = shells[p + 1]
-            if shell[0] < first:
-                first = shell[0]
-            for x in shell:
-                rx = -1
-                for y in adj[x]:
-                    ry = parent[y]
-                    if ry < 0 or ry == rx:
-                        continue
-                    if rx < 0:  # the first class x meets: x joins it
-                        rx = ry
-                        parent[x] = rx
-                        members[rx].append(x)
-                        continue
-                    mx, my = members[rx], members[ry]
-                    if len(mx) < len(my) or (len(mx) == len(my) and ry < rx):
-                        rx, ry, mx, my = ry, rx, my, mx
-                    for z in my:
-                        parent[z] = rx
-                    mx.extend(my)
-                    members[ry] = None
-                    ncomp -= 1
-                if rx < 0:  # no active neighbor: x opens a class
-                    parent[x] = x
-                    members[x] = [x]
-                    opened.append(x)
-                    ncomp += 1
-            if p <= rho:
-                kv[p] = ncomp
-                if ncomp == 1:  # x, the shell's last vertex, is in the class
-                    f1[p] = parent[x]
-                elif ncomp == 2:
-                    r1 = f1[p] = parent[first]
-                    for x in shell:
-                        r2 = parent[x]
-                        if r2 != r1:
-                            break
-                    t2 += v * (rho + 1) + p, len(members[r2]), r2
+        rec = [0] * (5 * (rho + 1))  # this center's rows
+        d = ecc_v  # the distance of the shell being activated
+        first = walk[0]  # the smallest outside vertex
+        for x in walk[:far] + [v] if far else ():
+            if dv[x] != d:  # the shell at distance d is complete: record B(v, d - 1)
+                p = d - 1
+                if p <= rho:
+                    rec[p] = ncomp
+                    if ncomp <= 2:  # 1 or 2: the shell just activated lies outside
+                        r1 = rec[root1 + p] = parent[first]
+                        rec[size1 + p] = len(members[r1])
+                        if ncomp == 2:
+                            for r2 in live:
+                                if r2 != r1:
+                                    break
+                            rec[root2 + p] = r2
+                            rec[size2 + p] = len(members[r2])
+                if d == 2:
+                    break
+                d -= 1
+                if x < first:
+                    first = x
+            rx = -1
+            for y in adj[x]:
+                ry = parent[y]
+                if ry < 0 or ry == rx:
+                    continue
+                if rx < 0:  # the first class x meets: x joins it
+                    rx = ry
+                    parent[x] = rx
+                    members[rx].append(x)
+                    continue
+                mx, my = members[rx], members[ry]
+                if len(mx) < len(my) or (len(mx) == len(my) and ry < rx):
+                    rx, ry, mx, my = ry, rx, my, mx
+                for z in my:
+                    parent[z] = rx
+                mx.extend(my)
+                members[ry] = None
+                live.discard(ry)
+                ncomp -= 1
+            if rx < 0:  # no active neighbor: x opens a class
+                parent[x] = x
+                members[x] = [x]
+                opened.append(x)
+                live.add(x)
+                ncomp += 1
         for r in opened:
             if members[r] is not None:
                 order.fromlist(members[r])
-        for shell in shells[:2]:  # never activated
-            order.fromlist(shell)
-        dense.fromlist(kv + f1)
-        twos.fromlist(t2)
+        order.append(v)  # never activated: v, then its neighbors
+        order.fromlist(walk[far : n - 1])
+        dense.fromlist(rec)
     comp_label = np.empty((n, n), dtype=np.int16)  # the places invert the orders
-    comp_label[np.arange(n)[:, None], np.frombuffer(order, dtype=np.int16).reshape(n, n)] = np.arange(n, dtype=np.int16)
+    centers = np.arange(n)[:, None]
+    comp_label[centers, np.frombuffer(order, dtype=np.int16).reshape(n, n)] = np.arange(n, dtype=np.int16)
     del order
-    kappa, first1 = np.frombuffer(dense, dtype=np.int16).reshape(n, 2, rho + 1).transpose(1, 0, 2)
+    rows = np.frombuffer(dense, dtype=np.int16).reshape(n, 5, rho + 1)
+    kappa = rows[:, 0].copy()  # contiguous, and apart from the sweep's buffer
     comp_size, comp_first = (np.zeros((n, rho + 1, 3), dtype=np.int16) for _ in range(2))
-    comp_first[:, :, 1] = comp_label[np.arange(n)[:, None], first1]
-    at, size2, first2 = np.frombuffer(twos, dtype=np.int32).reshape(-1, 3).T
-    comp_size.reshape(-1, 3)[at, 2] = size2
-    comp_first.reshape(-1, 3)[at, 2] = comp_label[at // (rho + 1), first2]
-    kappa = kappa.copy()  # contiguous, and apart from the sweep's buffer
-    # label 1 holds the rest of the outside: n - |B(v, p)| less label 2's
-    # size, with |B(v, p)| summed from each center's distance histogram
-    within = np.bincount((dm.dist + np.arange(0, n * n, n)[:, None]).reshape(-1), minlength=n * n)
-    within = within.reshape(n, n)[:, : rho + 1].cumsum(axis=1)
-    comp_size[:, :, 1] = np.where((kappa == 1) | (kappa == 2), n - within - comp_size[:, :, 2], 0)
+    # a root row reads vertex 0 where its label is empty; that start is
+    # never read, as the slot's size is 0
+    comp_first[:, :, 1:] = comp_label[centers[:, :, None], rows[:, 1:3]].transpose(0, 2, 1)
+    comp_size[:, :, 1:] = rows[:, 3:].transpose(0, 2, 1)
     return ResidualTable(n, rho, kappa, comp_label, comp_first, comp_size, dm.dist)
 
 
