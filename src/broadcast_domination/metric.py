@@ -12,11 +12,11 @@ vertex order per center puts each of them in one contiguous interval.  A
 table of n^2 int16 places holds every center's order, and every (center,
 power, label) slot the start of its interval, beside its size: O(n^2 rho)
 int16 entries in all, with no row of n per ball.  Per center the Python
-work is the shell-by-shell disjoint-set build, one scan of each vertex's
-neighbors in which it joins the class of the first active one and merges
-any further class it meets, and O(1) per ball; the places and the starts
-are written by one array assignment and one gather per label at the
-end.
+work is one walk over its vertices, far to near, building the disjoint
+sets: each vertex scans its neighbors once, joins the class of the first
+active one and merges any further class it meets; and O(1) per ball.
+The places and the starts are written by one array assignment and one
+gather at the end.
 
 The requirements are not stored as rows.  Each (ball, label) pair with a
 state keeps only its frontier vertices, in an index of at most n^2 int16
@@ -165,8 +165,9 @@ def residual_decompositions(g: Graph, dm: DistanceMatrix) -> ResidualTable:
     root1, root2, size1, size2 = (k * (rho + 1) for k in range(1, 5))  # where those rows start
     order = array("h")  # the centers' vertex orders, one after another
     adj = g.adj
-    walks = np.argsort(-dm.dist, axis=1, kind="stable").tolist()  # far to near, ties ascending
-    for v, (walk, dv, ecc_v) in enumerate(zip(walks, dm.dist.tolist(), dm.ecc.tolist())):
+    walks = np.argsort(-dm.dist, axis=1, kind="stable")  # far to near, ties ascending
+    for v, (walk, dv, ecc_v) in enumerate(zip(walks, dm.dist, dm.ecc.tolist())):
+        walk, dv = walk.tolist(), dv.tolist()  # one center's rows as lists at a time
         far = n - 1 - len(adj[v])  # the vertices ever activated, at distance 2 or more
         parent = [-1] * n  # root of each active vertex's class; -1 inside the ball
         members: list[list[int] | None] = [None] * n  # by root: its class
