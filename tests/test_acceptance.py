@@ -363,7 +363,10 @@ def test_scaling_cubic():
     # each size is timed by process CPU time, best of 9 calls.  The calls
     # take turns across the sizes: on a shared host the CPU itself runs
     # slower for seconds at a time, and a slow spell that covered every
-    # call of one size would skew its ratio
+    # call of one size would skew its ratio.  Time has only an upper gate,
+    # so a super-cubic solve fails; a lower one would fail faster cubic
+    # work and host noise alike (the 64 -> 128 ratio read 4.7-5.1 on a
+    # shared 2-core host).  The growth is pinned from below by the counts
     sizes = (64, 128, 256)
     graphs = {n: path_graph(n) for n in sizes}
     best = dict.fromkeys(sizes, float("inf"))
@@ -374,19 +377,29 @@ def test_scaling_cubic():
             best[n] = min(best[n], time.process_time() - t0)
     r1 = best[128] / best[64]
     r2 = best[256] / best[128]
-    assert 5.0 <= r1 <= 13.0, f"doubling ratio 64->128 was {r1:.2f}"
-    assert 5.0 <= r2 <= 13.0, f"doubling ratio 128->256 was {r2:.2f}"
+    assert r1 <= 13.0, f"doubling ratio 64->128 was {r1:.2f}"
+    assert r2 <= 13.0, f"doubling ratio 128->256 was {r2:.2f}"
     # state and arc growth against frozen cubic constants (measured once:
-    # arcs/n^3 was 0.235..0.247 on these sizes, states < 2*n*rho + n)
+    # arcs/n^3 was 0.235..0.247 on these sizes, states < 2*n*rho + n), and
+    # exact doubling factors: arcs grow like n^3 (8.27 and 8.13 when
+    # pinned), states like n * rho (4.00 both times)
+    counts = {}
     for n in sizes:
-        g = path_graph(n)
+        g = graphs[n]
         dm, rt, rq = tables(g)
         dag = build_dag(g, dm, rt, rq)
         assert dag.num_states <= 2 * n * dm.radius + n
         assert dag.num_arcs <= 0.26 * n**3
+        counts[n] = (dag.num_states, dag.num_arcs)
+    factors = []
+    for a, b in zip(sizes, sizes[1:]):
+        states, arcs = (counts[b][i] / counts[a][i] for i in (0, 1))
+        assert 3.5 <= states <= 4.5, f"state doubling factor {a}->{b} was {states:.2f}"
+        assert 7.0 <= arcs <= 9.0, f"arc doubling factor {a}->{b} was {arcs:.2f}"
+        factors.append(f"{states:.2f}/{arcs:.2f}")
     _passed(
         "scaling check",
-        f"doubling ratios {r1:.2f}, {r2:.2f} in [5,13]; states/arcs within frozen cubic bounds",
+        f"time doubling ratios {r1:.2f}, {r2:.2f} <= 13; state/arc doubling factors {', '.join(factors)}",
     )
 
 
