@@ -24,8 +24,9 @@ entries whose rows are numbered in the DP's target order, left size, then
 state id.  A requirement row is each frontier slice's row maximum over the
 distance matrix; the DP folds the rows of each batch of targets from one
 contiguous slice of the index just before it reads them, one member rank
-at a time, so the NumPy calls grow with the largest slice, not with the
-number of slices.  A batch is sized as a share of all rows folded at
+at a time, in row order, so the NumPy calls grow with the largest slice,
+not with the number of slices, and a batch of one-member rows (paths and
+trees) costs one gather.  A batch is sized as a share of all rows folded at
 once, not of the small index, so a large graph still takes a few dozen.
 """
 
@@ -314,27 +315,37 @@ def _fold(dist: np.ndarray, members: np.ndarray, starts: np.ndarray) -> np.ndarr
     to the end.  Every group is nonempty (RequirementTable), so each row
     starts from its first member's distance row, with no zero fill.
 
-    Rows are folded by member rank.  With the groups sorted by size,
-    largest first, those with more than r members are a prefix, so one
-    np.maximum per rank r folds every group's r-th row in; the rows are put
-    back in group order at the end.  That is one NumPy call per rank, where
-    maximum.reduceat along axis 0 runs its inner loop once per group and
-    column; only blocks of at most _REDUCEAT_CELLS row-by-vertex cells
-    still take the single reduceat.
+    Rows are folded by member rank, in group order.  Rank 0 is one gather
+    of every group's first member; when every group has one member (paths
+    and trees), that is the whole fold.  When every group has the same
+    size (most cycles), each further rank r folds every group's r-th member
+    in place.  Otherwise only the groups with a second member are taken
+    out, sorted by size, largest first, so those with more than r members
+    are a prefix: one np.maximum per rank r folds their r-th rows in, and
+    they are put back in place at the end.  That is one NumPy call per
+    rank, where maximum.reduceat along axis 0 runs its inner loop once per
+    group and column; only blocks of at most _REDUCEAT_CELLS row-by-vertex
+    cells still take the single reduceat.
     """
     if starts.size * dist.shape[1] <= _REDUCEAT_CELLS:
         return np.maximum.reduceat(dist.take(members, axis=0), starts, axis=0)
+    out = dist.take(members[starts], axis=0)
+    if members.size == starts.size:  # one member each
+        return out
     sizes = np.diff(starts, append=members.size)
-    order = (-sizes).argsort(kind="stable")  # largest group first
-    first = starts[order]
-    out = dist.take(members[first], axis=0)
     more = (starts.size - np.cumsum(np.bincount(sizes))).tolist()  # groups with > r members
+    if more[-2] == starts.size:  # every group has the largest size
+        for r in range(1, len(more) - 1):
+            np.maximum(out, dist.take(members[starts + r], axis=0), out=out)
+        return out
+    many = (-sizes).argsort(kind="stable")[: more[1]]  # the groups with a second member, largest first
+    first = starts[many]
+    part = out[many]
     for r in range(1, len(more) - 1):
         c = more[r]
-        np.maximum(out[:c], dist.take(members[first[:c] + r], axis=0), out=out[:c])
-    rows = np.empty_like(out)
-    rows[order] = out
-    return rows
+        np.maximum(part[:c], dist.take(members[first[:c] + r], axis=0), out=part[:c])
+    out[many] = part
+    return out
 
 
 def requirement_table(g: Graph, dm: DistanceMatrix, rt: ResidualTable) -> RequirementTable:

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 _INF = 1 << 30  # above every chain cost: at most n * rho < 2**30, as rho <= n/2
-_NO_PRED = (1 << 32) - 1  # low half of a packed DP value: no predecessor
+_NOT_GROWING = "an arc does not grow the left side"
 
 
 def _state_id(v, p, left, rho):
@@ -217,7 +217,7 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
 
     Targets are taken in increasing left size.  Yields (dst, src) per
     batch: arcs src -> dst grouped by target in that order, source centers
-    ascending per group.  For tau = (w, q, l) a predecessor's center v lies
+    ascending per group; dst is int32, src int64.  For tau = (w, q, l) a predecessor's center v lies
     in tau's left component, contact forces its power p = dist(v, w) - q - 1,
     and the facing label and tau's requirement lookup decide the rest:
     sigma's lookup, arc_test's other one, follows from them (proof in
@@ -229,8 +229,8 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     otherwise.  The candidate's ball index v (rho + 1) + p, which reads
     kappa and label 2's interval, then gives the source id as 3 * ball + left
     label, with no (center, power) pair rebuilt.  Every source is checked
-    to have a smaller left size than its target, so targets walked in
-    order only read finished sources.
+    to have a smaller left size than its target, by the DP (_relax) and by
+    build_dag, so targets walked in order only read finished sources.
 
     The two tests that read only tau's own rows (tau's facing frontier
     covered: its requirement row at v is <= p, and 0 <= p <= rho) run
@@ -246,12 +246,16 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     RequirementTable.target with no conversion, so a batch folds its
     targets' requirement rows from one contiguous slice of the frontier
     index (metric._fold), just before the dense test; no row outlives its
-    batch.  Per candidate, the place of w in v's order is read from the
-    batch's rows of the transposed order table, a copy made once per
-    call, so the gather follows the candidates' cells in order; kappa then
-    drops the balls without states, and the facing label is one interval
-    test for every kept candidate, with no branch: a one-component ball's
-    label 2 is empty, which gives left label 0.
+    batch.  Each target's center w and q + 1 are decoded once per call,
+    as int16 arrays, so a batch only slices them.  A candidate's cell in
+    the block gives its target's place in the batch by one division, and
+    its center v by one multiply-subtract.  Per candidate, the place of w
+    in v's order is read from the batch's rows of the transposed order
+    table, a copy made once per call, so the gather follows the
+    candidates' cells in order; kappa then drops the balls without states,
+    and the facing label is one interval test for every kept candidate,
+    with no branch: a one-component ball's label 2 is empty, which gives
+    left label 0.
 
     A batch holds about max(C / 450, 8192) units: one unit per candidate,
     and n // 8 per target for its row of the dense block.  C is the order
@@ -281,6 +285,8 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
     faces1 = np.arange(0, 3 * kappa.size, 3)
     faces1 += 2 * (kappa == 2)
     targets = req.target  # int32 state ids in row order, below 3 n (rho + 1) < 2**31
+    ws, q1s, _ = _decode(targets, rho)  # each target's center w and q + 1, below n < 2**15
+    ws, q1s = ws.astype(np.int16), np.add(q1s, 1, dtype=np.int16)
     start = req.start
     dense_bytes = rt.kappa.nbytes + rt.comp_label.nbytes + rt.comp_size.nbytes + 2 * n * (targets.size + 1)
     batch = np.add(left_size[targets], n // 8, dtype=np.int64).cumsum()
@@ -289,12 +295,11 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
 
     def batches():
         for a, b in zip(cuts, cuts[1:]):
-            taus = targets[a:b].astype(np.int64)
-            w, q, _ = _decode(taus, rho)
+            w = ws[a:b]
             # target x vertex block; p = dist(w, v) - q - 1 lies in [-n, n),
             # so int16 holds it
             p = dm.dist[w]
-            p -= (q + 1).astype(np.int16)[:, None]
+            p -= q1s[a:b, None]
             lo = start[a + 1]  # rows a + 1 to b
             ok = _fold(dm.dist, req.req[lo : start[b + 1]], start[a + 1 : b + 1] - lo) <= p
             ok &= p.view(np.uint16) <= rho  # 0 <= p <= rho
@@ -305,25 +310,23 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
             del ok
             p = p.reshape(-1)[cell]
             facing = facing_at[w].reshape(-1)[cell]  # w's place in v's order
-            pos, vp = np.divmod(cell, n)
+            pos = cell // n  # the target's place in the batch
+            vp = pos * -n
+            vp += cell  # the candidate center v
             vp *= rho + 1
             vp += p  # the candidate ball (v, p)
             del cell, p
             m = oriented[vp]
             pos, vp, facing = pos[m], vp[m], facing[m]
             del m
-            dst = taus[pos]
+            dst = targets[a:b][pos]
             del pos
             facing -= first2[vp]
             src = faces1[vp]
             src -= facing.view(np.uint16) < size2[vp]  # w in label 2: left label 1
             del vp, facing
-            # acyclicity witness: the left side strictly grows along every arc
-            reach = left_size[src]
-            if (reach >= left_size[dst]).any():
-                raise InternalError("an arc does not grow the left side")
-            yield dst, src, reach
-            del dst, src, reach
+            yield dst, src
+            del dst, src
 
     return batches()
 
@@ -335,40 +338,53 @@ def build_dag(g: Graph, dm: DistanceMatrix, rt: ResidualTable, req: RequirementT
     pulls the arcs itself."""
     states = _dense_tables(rt)
     srcs, dsts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for dst, src, _ in _in_arcs(dm, rt, req, states):
+    for dst, src in _in_arcs(dm, rt, req, states):
         srcs.append(src)
         dsts.append(dst)
-    return StateDag(g.n, rt.rho, *states, arc_src=np.concatenate(srcs), arc_dst=np.concatenate(dsts))
+    arc_src, arc_dst = np.concatenate(srcs), np.concatenate(dsts)
+    left_size = states[1]
+    if (left_size[arc_src] >= left_size[arc_dst]).any():
+        raise InternalError(_NOT_GROWING)
+    return StateDag(g.n, rt.rho, *states, arc_src=arc_src, arc_dst=arc_dst)
 
 
-def _relax(best, left_size, rho, dst, src, reach) -> None:
-    """Lower best at the targets of one batch of in-arcs (_solve_states);
-    reach is each arc's source left size.  Targets come in increasing left
+def _relax(key, pred, left_size, rho, dst, src) -> None:
+    """Lower key at the targets of one batch of in-arcs and set their pred
+    (_solve_states).  An arc's offer is its source's key,
+    (cost << 32) + source id, one gather.  Targets come in increasing left
     size, and a run of left sizes takes one minimum.reduceat when none of
     its arcs reads a left size inside the run: every source it reads is
     then final.  So a new run starts at the first left size whose largest
-    reach is at least the run's smallest left size."""
+    source left size is at least the run's smallest left size.  The same
+    maxima are the acyclicity witness: each must lie below its own left
+    size, so the left side strictly grows along every arc."""
+    if not dst.size:
+        return
     first = _run_starts(dst)  # first offer to each target
-    taus = dst[first]
-    gain = _power(taus, rho) << 32  # each target's power, added once
+    taus = dst[first].astype(np.int64)
+    own = _power(taus, rho) << 32  # each target's power, added once, and its own id
+    own += taus
     sizes = left_size[taus]
     groups = _run_starts(sizes)  # one per left size
+    reach = np.maximum.reduceat(left_size[src], first[groups])  # the largest source left size per group
     bounds, low = [], -1
-    for g, size, read in zip(
-        groups.tolist(), sizes[groups].tolist(), np.maximum.reduceat(reach, first[groups]).tolist()
-    ):
+    for g, size, read in zip(groups.tolist(), sizes[groups].tolist(), reach.tolist()):
+        if read >= size:
+            raise InternalError(_NOT_GROWING)
         if read >= low:
             bounds.append(g)
             low = size
     bounds.append(taus.size)
     ends = [*first.tolist(), dst.size]
+    least = np.empty(taus.size, dtype=np.int64)  # each target's cheapest offer
     for a, b in zip(bounds, bounds[1:]):
         lo, hi = ends[a], ends[b]
-        offers = best[src[lo:hi]] >> 32 << 32
-        offers += src[lo:hi]
-        least = np.minimum.reduceat(offers, first[a:b] - lo)
-        least += gain[a:b]
-        best[taus[a:b]] = least
+        np.minimum.reduceat(key[src[lo:hi]], first[a:b] - lo, out=least[a:b])
+        cost = least[a:b] >> 32
+        cost <<= 32
+        cost += own[a:b]
+        key[taus[a:b]] = cost
+    pred[taus] = least  # the int32 cast keeps the low half, the source id
 
 
 def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, start: np.ndarray | None = None):
@@ -381,41 +397,48 @@ def _solve_states(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, 
     allowed source.  Ties are broken toward the smaller
     (center, power, left) triple, which is the state id order.
 
-    Each state keeps one int64, (cost << 32) + predecessor id.  Each in-arc
-    offers its target ((cost of the source + power of the target) << 32) +
-    source id, and one minimum.reduceat per run of left sizes (_relax)
-    keeps each target's smallest offer.  The target's power is the same in
-    all its offers, so it is added to the minimum, once per target.  Every
-    source a run reads is final, so a state's value is its cheapest cost
-    with the smallest source id among its tight in-arcs.  That id is the lexicographic tie-break because, for a fixed
-    state and predecessor center, distance and labels force the
-    predecessor's power and orientation, so each predecessor center owns
-    exactly one candidate id, and ids ascend with the center.  Unreached
-    states cost at least _INF.  Both halves fit: ids are below
-    3 * n * (rho + 1) < 2**31, and costs below _INF + n * rho < 2**31,
-    because n < MAX_VERTICES and rho <= n / 2.  The id is added, not or-ed in,
-    because NumPy's int64 bitwise_or loop is code no other solve step runs,
-    and loading it costs about 128 KB resident.
+    Each state s keeps one int64 key, (cost << 32) + s, its own id, and one
+    int32 pred, its predecessor's id, -1 for none.  So each in-arc offers
+    its target just its source's key, and one minimum.reduceat per run of
+    left sizes (_relax) gives each target its cheapest source cost, with
+    the smallest source id among the cheapest in the low half; that id is
+    the target's pred, and the target's key is that cost plus its own
+    power, shifted, plus its own id.  The power is the same in all of a
+    target's offers, so it is added to the minimum, once per target.
+    Every source a run reads is final, so a state's cost is its cheapest
+    chain and its pred the smallest source id among its tight in-arcs.
+    That id is the lexicographic tie-break because, for a fixed state and
+    predecessor center, distance and labels force the predecessor's power
+    and orientation, so each predecessor center owns exactly one candidate
+    id, and ids ascend with the center.  Unreached states cost at least
+    _INF.  Both halves fit: ids are below 3 * n * (rho + 1) < 2**31, and
+    costs below _INF + n * rho < 2**31, because n < MAX_VERTICES and
+    rho <= n / 2.  The id is added, not or-ed in, because NumPy's int64
+    bitwise_or loop is code no other solve step runs, and loading it costs
+    about 128 KB resident.
     """
     states = _dense_tables(rt)
     left_size, is_source, is_sink = states[1:]
     sources = is_source if start is None else is_source & start.reshape(-1).repeat(3)
     arcs = _in_arcs(dm, rt, req, states)
-    best = np.full(left_size.size, _INF << 32 | _NO_PRED, dtype=np.int64)
+    key = np.arange(_INF << 32, (_INF << 32) + left_size.size, dtype=np.int64)
+    pred = np.full(left_size.size, -1, dtype=np.int32)
     ids = np.flatnonzero(sources)
-    best[ids] = (_power(ids, rt.rho) << 32) + _NO_PRED
-    del states, ids
+    own = _power(ids, rt.rho) << 32
+    own += ids
+    key[ids] = own
+    del states, ids, own
     for batch in arcs:
-        _relax(best, left_size, rt.rho, *batch)
+        _relax(key, pred, left_size, rt.rho, *batch)
         del batch  # not alive while the next batch is built
-    cost = best >> 32
+    cost = key >> 32
     sink_ids = np.flatnonzero(is_sink & (cost < _INF))
     if sink_ids.size == 0:
         return None
     end = int(sink_ids[np.argmin(cost[sink_ids])])  # first argmin = smallest id
     chain = [end]
-    while (pred := int(best[chain[-1]]) & _NO_PRED) != _NO_PRED:
-        chain.append(pred)
+    while (back := int(pred[chain[-1]])) >= 0:
+        chain.append(back)
     if not sources[chain[-1]]:
         raise InternalError("DP value has no consistent predecessor")
     chain.reverse()

@@ -298,8 +298,19 @@ class TestRequirements:
 
     def test_rank_fold_matches_reduceat(self, monkeypatch, small_random_graphs):
         # the two ways of folding requirement rows, forced on every fold:
-        # the rows the accessor makes and the DP batches' arcs and answers
-        graphs = [*small_random_graphs[:40], wheel_graph(33), barbell_graph(40), random_tree(60, 5)]
+        # the rows the accessor makes and the DP batches' arcs and answers.
+        # Each branch of the rank fold runs: one member per row (the path,
+        # the tree), one size for every row (the cycle's and the wheel's
+        # batches) and rows of mixed sizes (the small graphs, the barbell,
+        # the cycle's accessor rows)
+        graphs = [
+            *small_random_graphs[:40],
+            path_graph(64),
+            cycle_graph(64),
+            wheel_graph(33),
+            barbell_graph(40),
+            random_tree(60, 5),
+        ]
         for g in graphs:
             dm, rt, rq = tables(g)
             got = []
