@@ -217,9 +217,9 @@ def _in_arcs(dm: DistanceMatrix, rt: ResidualTable, req: RequirementTable, state
 
     Targets are taken in increasing left size.  Yields (dst, src) per
     batch: arcs src -> dst grouped by target in that order, source centers
-    ascending per group; dst is int32, src int64.  For tau = (w, q, l) a predecessor's center v lies
-    in tau's left component, contact forces its power p = dist(v, w) - q - 1,
-    and the facing label and tau's requirement lookup decide the rest:
+    ascending per group; dst is int32, src int64.  For tau = (w, q, l) a
+    predecessor's center v lies in tau's left component, contact forces
+    its power p = dist(v, w) - q - 1, and the facing label and tau's requirement lookup decide the rest:
     sigma's lookup, arc_test's other one, follows from them (proof in
     arc_test).  The ball (v, p) has oriented states exactly when
     1 <= p <= rho and its kappa is 1 or 2, and w lies outside it, as
