@@ -10,7 +10,8 @@ built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -201,10 +202,124 @@ def bfs_distances(g: Graph, s: int) -> list[int]:
     return row
 
 
-def apsp(g: Graph) -> DistanceMatrix:
-    """Exact hop distances via one BFS per vertex, O(n*(n+m)) total."""
+def _double_sweep(g: Graph) -> Optional[tuple[int, list[int], list[int]]]:
+    """(a, BFS row of vertex 0, BFS row of a), where a is the lowest-indexed
+    vertex farthest from 0; None when g is disconnected.
+
+    This is the double sweep: ecc(a), the largest entry of a's row, is at
+    most diam g and at least half of it, because every pair of vertices is
+    within ecc(a) + ecc(a) hops through a.
+    """
+    first = bfs_distances(g, 0)
+    far = max(first)
+    if far == g.n:  # the unreachable sentinel
+        return None
+    a = first.index(far)
+    return a, first, bfs_distances(g, a)
+
+
+# apsp takes the bit-parallel kernel for connected graphs of at least this
+# many vertices (one full word of sources) ...
+_BIT_MIN_VERTICES = 64
+# ... whose double-sweep diameter bound 2 ecc(a) is at most this many levels
+_BIT_MAX_LEVELS = 192
+# a level gathers at most this many neighbour rows per vertex at a time, so
+# its transient stays within 2 n^2 bytes on dense graphs
+_BIT_GATHER_ROWS = 16
+
+
+def _distance_planes(g: Graph) -> list[np.ndarray]:
+    """Bit planes of the hop distances of a connected graph with two or
+    more vertices, by one BFS from all sources at once, 64 sources per
+    machine word (the bit-parallel BFS of Akiba, Iwata and Yoshida, SIGMOD
+    2013): bit s of planes[j][z] is bit j of d(s, z), in (n, ceil(n / 64))
+    little-endian uint64 words.
+
+    seen[z] is the bitset of the sources within k hops of z.  One level
+    sets seen[z] to seen[z] OR the seen words of z's neighbours: a gather
+    and one reduceat over the CSR neighbour lists, in blocks of vertices
+    whose gathered rows stay within _BIT_GATHER_ROWS * n.  The bits new at
+    level k are the sources at distance exactly k; they are ORed into
+    planes[j] for every set bit j of k.  The loop stops at the first level
+    with no new bit, level diam + 1.  Every vertex has a neighbour, so no
+    reduceat segment is empty (an empty one would return the next
+    segment's word), and every pair is reached.
+    """
     n = g.n
-    dist = np.array([bfs_distances(g, s) for s in range(n)], dtype=np.int16).reshape(n, n)
+    words = (n + 63) // 64
+    word = np.dtype("<u8")  # little-endian, so a byte view holds source s at bit s
+    deg = np.fromiter(map(len, g.adj), dtype=np.intp, count=n)
+    nbr = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=int(deg.sum()))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(deg, out=indptr[1:])
+    blocks = []
+    lo = 0
+    while lo < n:
+        # the largest hi whose neighbour rows from lo fit the budget; one
+        # vertex has fewer than n neighbours, so hi > lo
+        hi = int(np.searchsorted(indptr, indptr[lo] + _BIT_GATHER_ROWS * n, side="right")) - 1
+        blocks.append((slice(lo, hi), nbr[indptr[lo] : indptr[hi]], indptr[lo:hi] - indptr[lo]))
+        lo = hi
+    gathered = np.empty((max(rows.size for _, rows, _ in blocks), words), dtype=word)
+    ids = np.arange(n)
+    seen = np.zeros((n, words), dtype=word)
+    seen[ids, ids >> 6] = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
+    reach = np.empty_like(seen)
+    new = np.empty_like(seen)
+    planes: list[np.ndarray] = []
+    level = 1
+    while True:
+        for part, rows, offsets in blocks:
+            np.take(seen, rows, axis=0, out=gathered[: rows.size])
+            np.bitwise_or.reduceat(gathered[: rows.size], offsets, axis=0, out=reach[part])
+            reach[part] |= seen[part]
+        np.bitwise_xor(reach, seen, out=new)
+        if not new.any():
+            return planes
+        if level.bit_length() > len(planes):
+            planes.append(np.zeros_like(seen))
+        for j, plane in enumerate(planes):
+            if level >> j & 1:
+                plane |= new
+        seen, reach = reach, seen
+        level += 1
+
+
+def _bit_parallel_distances(g: Graph) -> np.ndarray:
+    """The int16 distance matrix of _distance_planes' planes, unpacked from
+    the highest plane down, one n^2-byte plane of bits at a time."""
+    n = g.n
+    dist = np.zeros((n, n), dtype=np.int16)
+    for plane in reversed(_distance_planes(g)):
+        dist <<= 1
+        dist |= np.unpackbits(plane.view(np.uint8), axis=1, count=n, bitorder="little")
+    return dist
+
+
+def apsp(g: Graph) -> DistanceMatrix:
+    """Exact hop distances, eccentricities and radius; pairs in different
+    components hold the sentinel n.  O(n (n + m)) time, O(n^2) memory.
+
+    Two kernels compute the same matrix, chosen from the input alone:
+    - the bit-parallel BFS (_bit_parallel_distances), for a connected graph
+      with at least _BIT_MIN_VERTICES vertices whose double-sweep bound
+      2 ecc(a) >= diam is at most _BIT_MAX_LEVELS.  It runs diam + 1
+      levels of (n + 2m) ceil(n / 64) word operations each, and the level
+      cap is a constant, so it stays O(n (n + m)); its bitsets and bit
+      planes take n^2 / 8 bytes each;
+    - one BFS per vertex, O(n + m) each, for every other graph: small ones,
+      where a level's NumPy calls cost more than the whole BFS, long ones,
+      and disconnected ones, whose unreached pairs get the sentinel.  The
+      sweep's two rows are kept, not searched again.
+    """
+    n = g.n
+    sweep = _double_sweep(g) if n >= _BIT_MIN_VERTICES else None
+    if sweep is not None and 2 * max(sweep[2]) <= _BIT_MAX_LEVELS:
+        dist = _bit_parallel_distances(g)
+    else:
+        kept = {0: sweep[1], sweep[0]: sweep[2]} if sweep is not None else {}
+        rows = [kept[s] if s in kept else bfs_distances(g, s) for s in range(n)]
+        dist = np.array(rows, dtype=np.int16).reshape(n, n)
     ecc = dist.max(axis=1)
     connected = bool(int(ecc.max()) < n)
     radius = int(ecc.min())

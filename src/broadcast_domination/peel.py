@@ -34,8 +34,8 @@ from .graph import (
     Graph,
     GraphTooLargeError,
     InternalError,
+    _double_sweep,
     apsp,
-    bfs_distances,
     induced_subgraph,
 )
 from .pathdag import solve_path
@@ -192,8 +192,9 @@ def _peel(
     solve, once _cost_floor(k, D) >= bound for a lower bound D on diam H.
     D is taken twice: first as far[k], the largest G-distance between two
     vertices outside the ball, before H is built; then, after the
-    connectivity check, as the eccentricity in H of the vertex a BFS from
-    H's first vertex reaches last (a double sweep).
+    connectivity check, as the eccentricity in H of the vertex farthest
+    from H's first vertex (graph._double_sweep, which apsp's kernel choice
+    also reads).
 
     Why this is sound: H is an induced subgraph, so its distances are never
     shorter than G-distances, and no eccentricity exceeds the diameter;
@@ -214,11 +215,10 @@ def _peel(
     if bound is not None and _cost_floor(k, int(far[k])) >= bound:
         return Candidate(x, k, RESIDUAL_PRUNED, None, None)
     h, back = induced_subgraph(g, outside)
-    first = bfs_distances(h, 0)
-    last = max(first)
-    if last == h.n:  # the unreachable sentinel
+    sweep = _double_sweep(h)
+    if sweep is None:
         return Candidate(x, k, RESIDUAL_SKIPPED, None, None)
-    if bound is not None and _cost_floor(k, max(bfs_distances(h, first.index(last)))) >= bound:
+    if bound is not None and _cost_floor(k, max(sweep[2])) >= bound:
         return Candidate(x, k, RESIDUAL_PRUNED, None, None)
     return h, back
 

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from broadcast_domination.generators import cycle_graph, path_graph, star_graph
+from broadcast_domination import graph as graph_module
+from broadcast_domination.generators import barbell_graph, cycle_graph, path_graph, random_tree, star_graph
 from broadcast_domination.graph import (
     Graph,
     GraphFormatError,
     apsp,
+    bfs_distances,
     bits_of,
     induced_subgraph,
     is_connected,
@@ -106,6 +108,58 @@ class TestApsp:
         dm = apsp(g)
         assert not dm.connected
         assert int(dm.dist[0, 2]) == 4  # unreachable pairs hold n
+        # 70 vertices: a cycle through all but 35 and 69, which are isolated
+        ring = [v for v in range(70) if v not in (35, 69)]
+        g = Graph.from_edges(70, zip(ring, ring[1:] + ring[:1]))
+        dm = apsp(g)
+        assert_matches_bfs(g, dm)
+        assert not dm.connected
+        for v in (35, 69):
+            assert dm.dist[v].tolist() == [70] * v + [0] + [70] * (69 - v)
+
+    @staticmethod
+    def _boundary_graph(family, n):
+        if family == "cycle":
+            return cycle_graph(n)
+        if family == "barbell":
+            return barbell_graph(n)
+        return random_connected_graph(n, n)
+
+    @pytest.mark.parametrize("n", [64, 65, 127, 128, 129])
+    @pytest.mark.parametrize("family", ["cycle", "barbell", "random"])
+    def test_word_boundaries(self, family, n):
+        # source n - 1 is the last bit of a full word at 64 and 128 and the
+        # only bit of the last word at 65 and 129; the barbells' neighbour
+        # rows fill more than one gather block
+        g = self._boundary_graph(family, n)
+        assert_matches_bfs(g, apsp(g))
+
+    @given(graphs(min_n=64, max_n=140))
+    @settings(max_examples=25, deadline=None)
+    def test_large_graphs_match_bfs(self, g):
+        assert_matches_bfs(g, apsp(g))
+
+    def test_kernel_choice(self, monkeypatch):
+        # the bit-parallel kernel runs exactly on connected graphs of 64 or
+        # more vertices whose double-sweep bound 2 ecc(a) is at most 192
+        calls = []
+        kernel = graph_module._bit_parallel_distances
+        monkeypatch.setattr(graph_module, "_bit_parallel_distances", lambda g: calls.append(g.n) or kernel(g))
+        ring = list(range(1, 70))
+        cases = [
+            (cycle_graph(128), True),
+            (barbell_graph(128), True),
+            (random_tree(256, 7), True),
+            (path_graph(97), True),  # 2 * 96 = 192
+            (path_graph(98), False),  # 2 * 97 = 194
+            (path_graph(192), False),
+            (cycle_graph(63), False),
+            (Graph.from_edges(70, zip(ring, ring[1:] + ring[:1])), False),  # vertex 0 isolated
+        ]
+        for g, bit in cases:
+            calls.clear()
+            assert_matches_bfs(g, apsp(g))
+            assert calls == ([g.n] if bit else []), g.n
 
     @given(graphs(max_n=16))
     @settings(max_examples=40, deadline=None)
@@ -128,6 +182,17 @@ class TestApsp:
         assert (d == d.T).all() and (np.diag(d) == 0).all()
         via = (d[:, :, None] + d[None, :, :]).min(axis=1)
         assert (d <= via).all()
+
+
+def assert_matches_bfs(g, dm):
+    """Every row of dm is bfs_distances' row, and ecc, radius and
+    connected are those of the BFS rows."""
+    rows = [bfs_distances(g, s) for s in range(g.n)]
+    assert dm.dist.dtype == np.int16 and dm.dist.tolist() == rows
+    ecc = [max(row) for row in rows]
+    assert dm.ecc.tolist() == ecc
+    assert dm.radius == min(ecc)
+    assert dm.connected == (max(ecc) < g.n)
 
 
 class TestConnected:
