@@ -241,7 +241,7 @@ def _distance_planes(g: Graph) -> list[np.ndarray]:
     whose gathered rows stay within _BIT_GATHER_ROWS * n.  The bits new at
     level k are the sources at distance exactly k; they are ORed into
     planes[j] for every set bit j of k.  The loop stops at the first level
-    with no new bit, level diam + 1.  Every vertex has a neighbour, so no
+    with no new bit, level diam + 1 <= n.  Every vertex has a neighbour, so no
     reduceat segment is empty (an empty one would return the next
     segment's word), and every pair is reached.
     """
@@ -267,8 +267,7 @@ def _distance_planes(g: Graph) -> list[np.ndarray]:
     reach = np.empty_like(seen)
     new = np.empty_like(seen)
     planes: list[np.ndarray] = []
-    level = 1
-    while True:
+    for level in range(1, n + 1):
         for part, rows, offsets in blocks:
             np.take(seen, rows, axis=0, out=gathered[: rows.size])
             np.bitwise_or.reduceat(gathered[: rows.size], offsets, axis=0, out=reach[part])
@@ -282,7 +281,7 @@ def _distance_planes(g: Graph) -> list[np.ndarray]:
             if level >> j & 1:
                 plane |= new
         seen, reach = reach, seen
-        level += 1
+    raise InternalError(f"bit-parallel BFS on {n} vertices still found new sources at {n} hops")
 
 
 def _bit_parallel_distances(g: Graph) -> np.ndarray:
