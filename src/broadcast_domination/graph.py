@@ -252,15 +252,17 @@ def _distance_planes(g: Graph) -> list[np.ndarray]:
     nbr = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=int(deg.sum()))
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(deg, out=indptr[1:])
+    budget = _BIT_GATHER_ROWS * n
+    buffer = np.empty((min(nbr.size, budget), words), dtype=word)
     blocks = []
     lo = 0
     while lo < n:
         # the largest hi whose neighbour rows from lo fit the budget; one
         # vertex has fewer than n neighbours, so hi > lo
-        hi = int(np.searchsorted(indptr, indptr[lo] + _BIT_GATHER_ROWS * n, side="right")) - 1
-        blocks.append((slice(lo, hi), nbr[indptr[lo] : indptr[hi]], indptr[lo:hi] - indptr[lo]))
+        hi = int(np.searchsorted(indptr, indptr[lo] + budget, side="right")) - 1
+        start, stop = indptr[lo], indptr[hi]
+        blocks.append((slice(lo, hi), nbr[start:stop], indptr[lo:hi] - start, buffer[: stop - start]))
         lo = hi
-    gathered = np.empty((max(rows.size for _, rows, _ in blocks), words), dtype=word)
     ids = np.arange(n)
     seen = np.zeros((n, words), dtype=word)
     seen[ids, ids >> 6] = np.left_shift(np.uint64(1), (ids & 63).astype(np.uint64))
@@ -268,9 +270,9 @@ def _distance_planes(g: Graph) -> list[np.ndarray]:
     new = np.empty_like(seen)
     planes: list[np.ndarray] = []
     for level in range(1, n + 1):
-        for part, rows, offsets in blocks:
-            np.take(seen, rows, axis=0, out=gathered[: rows.size])
-            np.bitwise_or.reduceat(gathered[: rows.size], offsets, axis=0, out=reach[part])
+        for part, rows, offsets, gathered in blocks:
+            np.take(seen, rows, axis=0, out=gathered)
+            np.bitwise_or.reduceat(gathered, offsets, axis=0, out=reach[part])
             reach[part] |= seen[part]
         np.bitwise_xor(reach, seen, out=new)
         if not new.any():

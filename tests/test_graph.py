@@ -117,21 +117,15 @@ class TestApsp:
         for v in (35, 69):
             assert dm.dist[v].tolist() == [70] * v + [0] + [70] * (69 - v)
 
-    @staticmethod
-    def _boundary_graph(family, n):
-        if family == "cycle":
-            return cycle_graph(n)
-        if family == "barbell":
-            return barbell_graph(n)
-        return random_connected_graph(n, n)
-
     @pytest.mark.parametrize("n", [64, 65, 127, 128, 129])
-    @pytest.mark.parametrize("family", ["cycle", "barbell", "random"])
-    def test_word_boundaries(self, family, n):
+    @pytest.mark.parametrize(
+        "make", [cycle_graph, barbell_graph, lambda n: random_connected_graph(n, n)], ids=["cycle", "barbell", "random"]
+    )
+    def test_word_boundaries(self, make, n):
         # source n - 1 is the last bit of a full word at 64 and 128 and the
         # only bit of the last word at 65 and 129; the barbells' neighbour
-        # rows fill more than one gather block
-        g = self._boundary_graph(family, n)
+        # rows fill more than one gather block from 127 vertices on
+        g = make(n)
         assert_matches_bfs(g, apsp(g))
 
     @given(graphs(min_n=64, max_n=140))
