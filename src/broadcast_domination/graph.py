@@ -288,7 +288,8 @@ def _distance_planes(g: Graph) -> list[np.ndarray]:
 
 def _bit_parallel_distances(g: Graph) -> np.ndarray:
     """The int16 distance matrix of _distance_planes' planes, unpacked from
-    the highest plane down, one n^2-byte plane of bits at a time."""
+    the highest plane down, one n^2-byte plane of bits at a time, once the
+    level loop's bitsets and gather buffer are freed."""
     n = g.n
     dist = np.zeros((n, n), dtype=np.int16)
     for plane in reversed(_distance_planes(g)):
