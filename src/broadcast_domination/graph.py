@@ -249,7 +249,8 @@ def _distance_planes(g: Graph) -> list[np.ndarray]:
     words = (n + 63) // 64
     word = np.dtype("<u8")  # little-endian, so a byte view holds source s at bit s
     deg = np.fromiter(map(len, g.adj), dtype=np.intp, count=n)
-    nbr = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=int(deg.sum()))
+    # vertex ids are below MAX_VERTICES, and int32 halves the 2m neighbour ids of a dense graph
+    nbr = np.fromiter(chain.from_iterable(g.adj), dtype=np.int32, count=int(deg.sum()))
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(deg, out=indptr[1:])
     budget = _BIT_GATHER_ROWS * n
